@@ -7,12 +7,74 @@
 #include <deque>
 #include <limits>
 #include <queue>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace coperf::cluster {
+
+namespace detail {
+
+MachineSet::MachineSet(std::size_t n)
+    : n_(n),
+      words_((n + 63) / 64, 0),
+      summary_((words_.size() + 63) / 64, 0),
+      counts_(words_.size(), 0),
+      blocks_(summary_.size(), 0) {}
+
+void MachineSet::insert(std::size_t i) {
+  std::uint64_t& w = words_[i >> 6];
+  const std::uint64_t b = 1ull << (i & 63);
+  if (w & b) return;
+  w |= b;
+  summary_[i >> 12] |= 1ull << ((i >> 6) & 63);
+  ++counts_[i >> 6];
+  ++blocks_[i >> 12];
+  ++count_;
+}
+
+void MachineSet::erase(std::size_t i) {
+  std::uint64_t& w = words_[i >> 6];
+  const std::uint64_t b = 1ull << (i & 63);
+  if (!(w & b)) return;
+  w &= ~b;
+  if (!w) summary_[i >> 12] &= ~(1ull << ((i >> 6) & 63));
+  --counts_[i >> 6];
+  --blocks_[i >> 12];
+  --count_;
+}
+
+std::size_t MachineSet::next(std::size_t from) const {
+  if (from >= n_) return n_;
+  std::size_t wi = from >> 6;
+  if (const std::uint64_t w = words_[wi] & (~0ull << (from & 63)))
+    return (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
+  if (++wi == words_.size()) return n_;
+  std::size_t si = wi >> 6;
+  std::uint64_t s = summary_[si] & (~0ull << (wi & 63));
+  while (!s) {
+    if (++si == summary_.size()) return n_;
+    s = summary_[si];
+  }
+  wi = (si << 6) + static_cast<std::size_t>(std::countr_zero(s));
+  return (wi << 6) + static_cast<std::size_t>(std::countr_zero(words_[wi]));
+}
+
+std::size_t MachineSet::select(std::size_t k) const {
+  if (k >= count_) return n_;
+  std::size_t bi = 0;
+  while (k >= blocks_[bi]) k -= blocks_[bi++];
+  std::size_t wi = bi << 6;
+  while (k >= counts_[wi]) k -= counts_[wi++];
+  std::uint64_t w = words_[wi];
+  for (; k > 0; --k) w &= w - 1;  // drop the k lowest members
+  return (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -99,63 +161,102 @@ struct Resident {
 struct MachineState {
   std::vector<Resident> residents;
   double upd = 0.0;           ///< time `remaining` values were materialized
-  std::uint64_t version = 0;  ///< bumped on every resident-set change
   double next_eta = kInf;     ///< min resident eta (ties: lowest slot)
   std::size_t next_pos = 0;
 };
 
-/// Machines with >= 1 free slot, as a bitset: O(1) toggle, popcount
-/// count, and word-scan enumeration -- the free-slot index behind
-/// ClusterView::kth_open.
-class OpenSet {
+/// Open machines (alive, not full) filed by resident multiset: the
+/// candidate index behind EngineView. Empty machines form one class;
+/// single-resident machines form one class per resident type, kept
+/// both by id and ordered by the resident's cached completion ETA
+/// (then id); machines with 2+ residents (only when slots >= 3) are
+/// kept together and priced one by one.
+class CandidateIndex {
  public:
-  explicit OpenSet(std::size_t n) : n_(n), words_((n + 63) / 64, 0) {}
+  CandidateIndex(std::size_t machines, std::size_t types)
+      : open_(machines),
+        empty_(machines),
+        multi_(machines),
+        single_(types, detail::MachineSet(machines)),
+        by_eta_(types),
+        cls_(machines, kClosed),
+        eta_(machines, 0.0) {}
 
-  void set(std::size_t i) {
-    std::uint64_t& w = words_[i >> 6];
-    const std::uint64_t b = 1ull << (i & 63);
-    if (!(w & b)) {
-      w |= b;
-      ++count_;
-    }
-  }
-  void clear(std::size_t i) {
-    std::uint64_t& w = words_[i >> 6];
-    const std::uint64_t b = 1ull << (i & 63);
-    if (w & b) {
-      w &= ~b;
-      --count_;
-    }
-  }
-  std::size_t count() const { return count_; }
+  using EtaOrder = std::set<std::pair<double, std::size_t>>;
 
-  /// First open machine with index >= from; n (== machines) if none.
-  std::size_t next(std::size_t from) const {
-    if (from >= n_) return n_;
-    std::size_t wi = from >> 6;
-    std::uint64_t w = words_[wi] & (~0ull << (from & 63));
-    while (true) {
-      if (w) return (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
-      if (++wi == words_.size()) return n_;
-      w = words_[wi];
+  /// Re-files machine m: out of the index unless `open`, else under
+  /// the class of its (reindexed) residents.
+  void refile(std::size_t m, bool open, const std::vector<Resident>& rs) {
+    switch (const std::size_t c = cls_[m]) {
+      case kClosed:
+        break;
+      case kEmpty:
+        empty_.erase(m);
+        break;
+      case kMulti:
+        multi_.erase(m);
+        break;
+      default:
+        single_[c].erase(m);
+        by_eta_[c].erase({eta_[m], m});
+    }
+    cls_[m] = kClosed;
+    if (!open) {
+      open_.erase(m);
+      return;
+    }
+    open_.insert(m);
+    if (rs.empty()) {
+      cls_[m] = kEmpty;
+      empty_.insert(m);
+    } else if (rs.size() == 1) {
+      cls_[m] = rs[0].type;
+      eta_[m] = rs[0].eta;
+      single_[rs[0].type].insert(m);
+      by_eta_[rs[0].type].insert({rs[0].eta, m});
+    } else {
+      cls_[m] = kMulti;
+      multi_.insert(m);
     }
   }
+
+  const detail::MachineSet& open() const { return open_; }
+  const detail::MachineSet& empty() const { return empty_; }
+  const detail::MachineSet& multi() const { return multi_; }
+  std::size_t types() const { return single_.size(); }
+  /// Open machines whose only resident has type t, by id...
+  const detail::MachineSet& single(std::size_t t) const { return single_[t]; }
+  /// ...and as (eta, id) pairs in ascending order.
+  const EtaOrder& by_eta(std::size_t t) const { return by_eta_[t]; }
 
  private:
-  std::size_t n_;
-  std::size_t count_ = 0;
-  std::vector<std::uint64_t> words_;
+  static constexpr std::size_t kClosed = ~std::size_t{0};
+  static constexpr std::size_t kEmpty = kClosed - 1;
+  static constexpr std::size_t kMulti = kClosed - 2;
+
+  detail::MachineSet open_, empty_, multi_;
+  std::vector<detail::MachineSet> single_;
+  std::vector<EtaOrder> by_eta_;
+  std::vector<std::size_t> cls_;  ///< kClosed/kEmpty/kMulti or the type
+  std::vector<double> eta_;       ///< filing key of a single resident
 };
+
+/// A ~1e-9 relative ETA gap dwarfs the rounding (a few ulps of the
+/// ETA) in both a cached ETA and view()'s remaining work, so a machine
+/// whose ETA is further out by more than this has strictly more work
+/// left in view() too.
+constexpr double kEtaGuard = 1e-9;
 
 /// The policies' window into the engine. Views materialize lazily and
 /// are cached per event stamp; kth_open serves the ascending scans the
-/// policies and the regret billing do in O(1) amortized per step.
+/// policies and the regret billing do in O(1) amortized per step, and
+/// any other k by select().
 class EngineView final : public ClusterView {
  public:
-  EngineView(const std::vector<MachineState>& ms, const OpenSet& open,
+  EngineView(const std::vector<MachineState>& ms, const CandidateIndex& idx,
              std::size_t slots, const double& t, const std::uint64_t& stamp)
       : ms_(ms),
-        open_(open),
+        idx_(idx),
         slots_(slots),
         t_(t),
         stamp_(stamp),
@@ -163,18 +264,14 @@ class EngineView final : public ClusterView {
         view_stamp_(ms.size(), 0) {}
 
   std::size_t machines() const override { return ms_.size(); }
-  std::size_t open_count() const override { return open_.count(); }
+  std::size_t open_count() const override { return idx_.open().size(); }
 
   std::size_t kth_open(std::size_t k) const override {
     const bool warm = scan_stamp_ == stamp_;
-    std::size_t m, kk;
     if (warm && k == last_k_) return last_m_;
-    if (warm && k == last_k_ + 1) {
-      m = open_.next(last_m_ + 1);
-    } else {
-      m = open_.next(0);
-      for (kk = 0; kk < k && m < ms_.size(); ++kk) m = open_.next(m + 1);
-    }
+    const std::size_t m = warm && k == last_k_ + 1
+                              ? idx_.open().next(last_m_ + 1)
+                              : idx_.open().select(k);
     if (m >= ms_.size())
       throw std::out_of_range{"ClusterView::kth_open: index past open set"};
     scan_stamp_ = stamp_;
@@ -183,15 +280,16 @@ class EngineView final : public ClusterView {
     return m;
   }
 
+  /// Full and failed machines are exactly the ones outside the index.
   std::size_t free_slots(std::size_t m) const override {
-    return slots_ - ms_[m].residents.size();
+    return idx_.open().contains(m) ? slots_ - ms_[m].residents.size() : 0;
   }
 
   const MachineView& view(std::size_t m) const override {
     MachineView& v = views_[m];
     if (view_stamp_[m] != stamp_) {
       const MachineState& s = ms_[m];
-      v.free_slots = slots_ - s.residents.size();
+      v.free_slots = free_slots(m);
       v.residents.clear();
       for (const Resident& r : s.residents)
         v.residents.push_back(
@@ -203,9 +301,61 @@ class EngineView final : public ClusterView {
     return v;
   }
 
+  /// The scan's pick, pricing each class of the candidate index
+  /// instead of every open machine. Machines of one single-resident
+  /// class differ only in the resident's remaining work `rem`, and
+  /// their delta is a + c * rem with c = est(type, job) - 1, monotone
+  /// in rem -- hence in the cached ETA, since all of them progress at
+  /// the same solo rate. Every candidate is priced by placement_delta
+  /// itself, so the minimum (delta, id) is bit-identical to the scan.
+  PricedMachine cheapest_open(const harness::CorunMatrix& est,
+                              std::size_t job_type,
+                              double job_work) const override {
+    const std::size_t n = ms_.size();
+    PricedMachine best{n, kInf};
+    const auto price = [&](std::size_t m) {
+      const double d = placement_delta(est, job_type, job_work, view(m));
+      if (d < best.delta ||
+          (d == best.delta && best.machine < n && m < best.machine))
+        best = {m, d};
+      return d;
+    };
+    // Walks one class in the order its delta rises, and stops past a
+    // machine priced strictly above the best once the next ETA is
+    // clearly further out: everything beyond prices at least as high.
+    const auto walk = [&](auto it, const auto end, bool ascending) {
+      while (it != end) {
+        const double eta = it->first;
+        const double d = price(it->second);
+        if (++it == end) return;
+        const double gap = kEtaGuard * std::abs(eta);
+        if (d > best.delta &&
+            (ascending ? it->first > eta + gap : it->first < eta - gap))
+          return;
+      }
+    };
+    // Empty machines, and members of a class whose coefficient is
+    // exactly 0, all price the same: the lowest id stands for them.
+    if (const std::size_t m = idx_.empty().next(0); m < n) price(m);
+    for (std::size_t type = 0; type < idx_.types(); ++type) {
+      const CandidateIndex::EtaOrder& order = idx_.by_eta(type);
+      if (order.empty()) continue;
+      const double c = est.at(type, job_type) - 1.0;
+      if (c == 0.0)
+        price(idx_.single(type).next(0));
+      else if (c > 0.0)
+        walk(order.begin(), order.end(), /*ascending=*/true);
+      else
+        walk(order.rbegin(), order.rend(), /*ascending=*/false);
+    }
+    const detail::MachineSet& multi = idx_.multi();
+    for (std::size_t m = multi.next(0); m < n; m = multi.next(m + 1)) price(m);
+    return best;
+  }
+
  private:
   const std::vector<MachineState>& ms_;
-  const OpenSet& open_;
+  const CandidateIndex& idx_;
   std::size_t slots_;
   const double& t_;
   const std::uint64_t& stamp_;
@@ -216,19 +366,71 @@ class EngineView final : public ClusterView {
   mutable std::size_t last_m_ = 0;
 };
 
-/// Min-heap entry: machine `machine`'s earliest completion, valid while
-/// its version matches (lazy invalidation -- a resident-set change
-/// bumps the version and pushes a fresh entry).
-struct HeapEntry {
-  double eta = kInf;
-  std::size_t machine = 0;
-  std::uint64_t version = 0;
-};
-struct HeapLater {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.eta != b.eta) return a.eta > b.eta;
-    return a.machine > b.machine;  // deterministic: lowest machine first
+/// Busy machines by earliest completion: an indexed binary min-heap
+/// with one entry per machine, keyed (eta, machine) -- deterministic,
+/// lowest machine first on ties -- and re-keyed in place when the
+/// machine's resident set changes, so no stale entries pile up.
+class CompletionHeap {
+ public:
+  explicit CompletionHeap(std::size_t machines) : pos_(machines, kAbsent) {}
+
+  bool empty() const { return heap_.empty(); }
+  double top_eta() const { return heap_.front().eta; }
+  std::size_t top_machine() const { return heap_.front().machine; }
+
+  /// Files machine m under `eta`; kInf (an idle machine) removes it.
+  void update(std::size_t m, double eta) {
+    std::size_t i = pos_[m];
+    if (i == kAbsent) {
+      if (eta == kInf) return;
+      i = heap_.size();
+      heap_.push_back({eta, m});
+    } else if (eta == kInf) {
+      pos_[m] = kAbsent;
+      const Entry last = heap_.back();
+      heap_.pop_back();
+      if (i == heap_.size()) return;
+      heap_[i] = last;
+    } else {
+      heap_[i].eta = eta;
+    }
+    sift_down(sift_up(i));
   }
+
+ private:
+  struct Entry {
+    double eta;
+    std::size_t machine;
+  };
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  static bool before(const Entry& a, const Entry& b) {
+    return a.eta != b.eta ? a.eta < b.eta : a.machine < b.machine;
+  }
+  /// Moves heap_[i] up to its place; returns where it landed.
+  std::size_t sift_up(std::size_t i) {
+    const Entry e = heap_[i];
+    for (; i > 0 && before(e, heap_[(i - 1) / 2]); i = (i - 1) / 2)
+      put(i, heap_[(i - 1) / 2]);
+    put(i, e);
+    return i;
+  }
+  void sift_down(std::size_t i) {
+    const Entry e = heap_[i];
+    for (std::size_t c; (c = 2 * i + 1) < heap_.size(); i = c) {
+      if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
+      if (!before(heap_[c], e)) break;
+      put(i, heap_[c]);
+    }
+    put(i, e);
+  }
+  void put(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    pos_[e.machine] = i;
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<std::size_t> pos_;  ///< heap_ index per machine
 };
 
 /// A killed or deferred job waiting out its simulated-time delay before
@@ -256,9 +458,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
   const std::uint64_t fallbacks_before = truth.fallbacks();
 
   std::vector<MachineState> machines(cfg.machines);
-  OpenSet open(cfg.machines);
-  for (std::size_t m = 0; m < cfg.machines; ++m) open.set(m);
   std::vector<char> alive(cfg.machines, 1);
+  CandidateIndex index(cfg.machines, truth.size());
+  for (std::size_t m = 0; m < cfg.machines; ++m)
+    index.refile(m, /*open=*/true, machines[m].residents);
   std::size_t alive_machines = cfg.machines;
 
   unsigned max_priority = 0;
@@ -290,9 +493,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
   std::size_t decisions = 0;
   std::size_t next_fault = 0;
 
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater> heap;
+  CompletionHeap heap(cfg.machines);
   std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeue;
-  EngineView cview{machines, open, cfg.slots, t, stamp};
+  EngineView cview{machines, index, cfg.slots, t, stamp};
 
   // Observability: a simulated-time timeline (own trace process per
   // run, so back-to-back policy sweeps do not overwrite each other's
@@ -369,10 +572,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   // Re-derives machine m's cached rates after a resident-set change at
   // time `t` (call with `remaining` already materialized to `t`): one
-  // truth query per resident, fresh ETAs, new heap entry.
+  // truth query per resident, fresh ETAs, the machine re-keyed in the
+  // completion heap and re-filed in the candidate index.
   const auto reindex = [&](std::size_t m) {
     MachineState& ms = machines[m];
-    ++ms.version;
     ms.next_eta = kInf;
     ms.next_pos = 0;
     for (std::size_t i = 0; i < ms.residents.size(); ++i) {
@@ -390,7 +593,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
         ms.next_pos = i;
       }
     }
-    if (!ms.residents.empty()) heap.push({ms.next_eta, m, ms.version});
+    heap.update(m, ms.residents.empty() ? kInf : ms.next_eta);
+    index.refile(m, alive[m] && ms.residents.size() < cfg.slots,
+                 ms.residents);
   };
 
   // --- graceful-degradation helpers (inert on a fault-free run) -------
@@ -477,7 +682,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   const auto drain_waiting = [&] {
     while (waiting_count > 0) {
-      if (open.count() == 0) {
+      if (index.open().size() == 0) {
         // Preemptive migration: let the highest waiting class claim a
         // slot from a strictly lower-priority resident (lowest class
         // first; ties to the lowest machine then slot). The victim
@@ -517,7 +722,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
             0.0, pending[vjid] - cfg.retry.checkpoint * vexecuted);
         vms.residents.erase(vms.residents.begin() +
                             static_cast<std::ptrdiff_t>(vs));
-        open.set(vm);
         reindex(vm);
         --running_count;
         ++stamp;
@@ -554,8 +758,8 @@ ClusterResult simulate(const ClusterConfig& cfg,
       JobSpec job = trace[jid];
       job.work = pending[jid];
       const std::size_t m = policy.place(job, cview);
-      if (m >= cfg.machines || machines[m].residents.size() >= cfg.slots)
-        throw std::logic_error{"simulate: policy chose a full machine"};
+      if (m >= cfg.machines || !index.open().contains(m))
+        throw std::logic_error{"simulate: policy chose a full or down machine"};
       // Bill the decision at ground truth: how much worse was the
       // chosen machine than the best one actually available?
       const bool billed =
@@ -564,6 +768,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
       double chosen = 0.0, best = kInf;
       double lc_chosen = 0.0, lc_best = kInf;
       if (billed) {
+        const detail::MachineSet& open = index.open();
         for (std::size_t v = open.next(0); v < cfg.machines;
              v = open.next(v + 1)) {
           const double d =
@@ -632,7 +837,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
       materialize(machines[m]);
       machines[m].residents.push_back(
           {jid, job.type, job.work, 1.0, kInf, job.slo_p99});
-      if (machines[m].residents.size() == cfg.slots) open.clear(m);
       reindex(m);
       ++running_count;
       ++stamp;
@@ -650,20 +854,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   while (next_arrival < trace.size() || running_count > 0 ||
          waiting_count > 0 || !requeue.empty()) {
-    // Earliest completion from the heap (stale entries dropped);
-    // ties resolve to the lowest machine then slot, deterministically.
-    double t_done = kInf;
-    std::size_t done_m = 0;
-    while (!heap.empty()) {
-      const HeapEntry& top = heap.top();
-      if (top.version != machines[top.machine].version) {
-        heap.pop();
-        continue;
-      }
-      t_done = top.eta;
-      done_m = top.machine;
-      break;
-    }
+    // Earliest completion; ties resolve to the lowest machine then
+    // slot, deterministically.
+    const double t_done = heap.empty() ? kInf : heap.top_eta();
+    const std::size_t done_m = heap.empty() ? 0 : heap.top_machine();
     const double t_arr =
         next_arrival < trace.size() ? trace[next_arrival].arrival : kInf;
     const double t_fault =
@@ -678,7 +872,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
     // before requeues and arrivals queue), then requeues before
     // arrivals (an old job re-enters its lane ahead of a newcomer).
     if (t_done <= t_arr && t_done <= t_fault && t_done <= t_req) {
-      heap.pop();
       t = t_done;
       ++stamp;
       MachineState& ms = machines[done_m];
@@ -689,7 +882,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
       materialize(ms);
       ms.residents.erase(ms.residents.begin() +
                          static_cast<std::ptrdiff_t>(pos));
-      open.set(done_m);
       reindex(done_m);
       --running_count;
       JobOutcome& out = res.outcomes[jid];
@@ -713,10 +905,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
           kill_resident(r.job, r.remaining, f.machine);
         running_count -= ms.residents.size();
         ms.residents.clear();
-        open.clear(f.machine);
         alive[f.machine] = 0;
         --alive_machines;
-        reindex(f.machine);  // empty: just invalidates stale heap entries
+        reindex(f.machine);  // empty: leaves the heap and the index
         if (traced) down_since[f.machine] = t;
       } else {
         ++res.recoveries;
@@ -725,7 +916,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
             {TraceEvent::Kind::Recover, t, 0, 0, f.machine, 0.0});
         alive[f.machine] = 1;
         ++alive_machines;
-        open.set(f.machine);
+        reindex(f.machine);  // empty: rejoins the index
         if (traced) {
           tr.complete(trace_pid, static_cast<int>(f.machine), "DOWN",
                       down_since[f.machine] * kTraceUsPerUnit,

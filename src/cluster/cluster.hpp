@@ -21,15 +21,22 @@
 //
 //  * simulate() -- the fleet-scale indexed event loop. Per-machine
 //    resident slowdowns and absolute completion ETAs are cached and
-//    recomputed only when that machine's resident multiset changes; a
-//    lazy binary heap of per-machine next completions (deterministic
-//    (eta, machine, slot) tie-breaking) replaces the per-event
-//    machines x slots rescan, and a free-slot bitset index feeds the
-//    policies' ClusterView so a decision prices only candidate
-//    machines. Completion arithmetic is drift-free: each resident's
-//    remaining work is decremented once per constant-rate interval
-//    (clamped at zero), not once per global event. Scales to
-//    thousands of machines and millions of arrivals.
+//    recomputed only when that machine's resident multiset changes; an
+//    indexed binary heap of per-machine next completions (one entry
+//    per busy machine, re-keyed in place; deterministic (eta, machine,
+//    slot) tie-breaking) replaces the per-event machines x slots
+//    rescan, and a candidate index over open machines
+//    (alive, not full) feeds the policies' ClusterView. The index
+//    files machines by resident multiset and orders single-resident
+//    classes by the resident's cached ETA, so a cost-model decision
+//    prices O(distinct machine states), not every open machine: one
+//    representative per empty or zero-coefficient class, a short
+//    monotone walk per other single-resident class, and machines with
+//    2+ residents one by one. Completion arithmetic is drift-free:
+//    each resident's remaining work is decremented once per
+//    constant-rate interval (clamped at zero), not once per global
+//    event. Scales to tens of thousands of machines and millions of
+//    arrivals.
 //  * simulate_reference() -- the original O(machines x slots)-per-event
 //    scan loop, kept verbatim as the executable specification. The
 //    equivalence suite pins simulate() against it: byte-identical
@@ -220,6 +227,41 @@ struct ClusterResult {
   /// violation -- some latency-critical budget was blown.
   std::size_t slo_violation_decisions = 0;
 };
+
+namespace detail {
+
+/// A set of machine ids as a two-level bitset: O(1) insert, erase and
+/// contains; next() and select() in O(machines / 4096 + 64) word
+/// operations via one summary bit per nonzero word and member counts
+/// (popcounts) per word and per 64-word block, kept up to date on
+/// insert and erase. The fleet engine's open set and class indexes.
+class MachineSet {
+ public:
+  explicit MachineSet(std::size_t n = 0);
+
+  void insert(std::size_t i);
+  void erase(std::size_t i);
+  bool contains(std::size_t i) const {
+    return (words_[i >> 6] >> (i & 63)) & 1;
+  }
+  std::size_t size() const { return count_; }
+  /// Id space: members are < capacity().
+  std::size_t capacity() const { return n_; }
+  /// Smallest member >= from; capacity() if none.
+  std::size_t next(std::size_t from) const;
+  /// The k-th smallest member (0-based); capacity() if k >= size().
+  std::size_t select(std::size_t k) const;
+
+ private:
+  std::size_t n_;
+  std::size_t count_ = 0;
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> summary_;  ///< bit w: words_[w] != 0
+  std::vector<std::uint8_t> counts_;    ///< members per word
+  std::vector<std::uint32_t> blocks_;   ///< members per 64-word block
+};
+
+}  // namespace detail
 
 /// Runs the indexed event loop: arrivals queue per priority class
 /// (FIFO within a class, higher classes first; all-zero priorities ==

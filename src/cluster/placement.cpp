@@ -22,6 +22,19 @@ std::size_t VectorClusterView::kth_open(std::size_t k) const {
   throw std::out_of_range{"VectorClusterView::kth_open: index past open set"};
 }
 
+PricedMachine ClusterView::cheapest_open(const harness::CorunMatrix& est,
+                                         std::size_t job_type,
+                                         double job_work) const {
+  PricedMachine best{machines(), std::numeric_limits<double>::infinity()};
+  const std::size_t open = open_count();
+  for (std::size_t k = 0; k < open; ++k) {
+    const std::size_t m = kth_open(k);
+    const double delta = placement_delta(est, job_type, job_work, view(m));
+    if (delta < best.delta) best = {m, delta};
+  }
+  return best;
+}
+
 std::size_t RandomPolicy::place(const JobSpec& job,
                                 const ClusterView& cluster) {
   (void)job;
@@ -130,22 +143,12 @@ std::size_t CostModelPolicy::place(const JobSpec& job,
                                    const ClusterView& cluster) {
   if (job.type >= estimate_.size())
     throw std::out_of_range{"CostModelPolicy::place: job type outside matrix"};
-  std::size_t best = cluster.machines();
-  double best_delta = std::numeric_limits<double>::infinity();
-  const std::size_t open = cluster.open_count();
-  for (std::size_t k = 0; k < open; ++k) {
-    const std::size_t m = cluster.kth_open(k);
-    const double delta =
-        placement_delta(estimate_, job.type, job.work, cluster.view(m));
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = m;
-    }
-  }
-  if (best == cluster.machines())
+  const PricedMachine best =
+      cluster.cheapest_open(estimate_, job.type, job.work);
+  if (best.machine == cluster.machines())
     throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best_delta;
-  return best;
+  last_delta_ = best.delta;
+  return best.machine;
 }
 
 namespace {

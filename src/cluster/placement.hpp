@@ -13,12 +13,15 @@
 // fresh policy with the same seed replays identically.
 //
 // Policies see the cluster through ClusterView: a free-slot index
-// (open_count/kth_open, ascending machine order) plus lazily
-// materialized per-machine MachineViews. The simulator's fleet-scale
-// implementation only materializes the machines a policy actually
-// prices; the legacy vector-of-views entry point is kept as a thin
-// adapter (VectorClusterView) so hand-built views in tests and the
-// reference event loop keep working unchanged.
+// (open_count/kth_open, ascending machine order), lazily materialized
+// per-machine MachineViews, and cheapest_open -- the cost-model argmin
+// over open machines. The default cheapest_open scans every open
+// machine; the simulator's fleet-scale implementation overrides it to
+// price each distinct machine state once (machines with equal
+// resident multisets differ only in remaining work), with the same
+// pick and delta bit for bit. The legacy vector-of-views entry point
+// is kept as a thin adapter (VectorClusterView) so hand-built views in
+// tests and the reference event loop keep working unchanged.
 //
 // Fault tolerance is invisible here by design: a failed machine simply
 // leaves the open set (its slots are never offered), a recovered one
@@ -57,6 +60,12 @@ struct MachineView {
   std::vector<ResidentView> residents;
 };
 
+/// An open machine and the placement_delta it was priced at.
+struct PricedMachine {
+  std::size_t machine = 0;
+  double delta = 0.0;
+};
+
 /// What a policy sees of the cluster at decision time. kth_open
 /// enumerates machines with a free slot in ascending index order --
 /// the deterministic candidate order every policy iterates -- and
@@ -71,11 +80,24 @@ class ClusterView {
   /// Machines with at least one free slot.
   virtual std::size_t open_count() const = 0;
   /// The k-th (0-based) open machine in ascending index order. The
-  /// simulator's implementation serves ascending k in O(1) amortized.
+  /// simulator's implementation serves ascending k in O(1) amortized
+  /// and any other k by a word-popcount select.
   virtual std::size_t kth_open(std::size_t k) const = 0;
+  /// Slots machine m can still take; 0 for a failed machine.
   virtual std::size_t free_slots(std::size_t m) const = 0;
   /// Machine m's residents and free slots, materialized on demand.
   virtual const MachineView& view(std::size_t m) const = 0;
+
+  /// The open machine minimizing placement_delta(est, job_type,
+  /// job_work, view(m)), lowest index on ties, with that delta;
+  /// {machines(), inf} when no open machine prices below infinity.
+  /// The default scans kth_open in ascending order and prices every
+  /// open machine. An override must return the identical machine and
+  /// delta, bit for bit -- the simulator's prices each distinct
+  /// machine state once instead.
+  virtual PricedMachine cheapest_open(const harness::CorunMatrix& est,
+                                      std::size_t job_type,
+                                      double job_work) const;
 };
 
 /// Adapter over a caller-built vector of MachineViews (tests, the
@@ -194,9 +216,12 @@ class RandomPolicy final : public PlacementPolicy {
 /// the machine where admitting the job adds the least *machine time*
 /// -- each pairwise excess slowdown weighted by how long it will
 /// persist (the new job's work, resp. the victim resident's remaining
-/// work). Lowest index wins ties, for determinism. With the truth
-/// matrix as the estimate this is the oracle; with a predicted matrix
-/// it is the static-analytic scheduler.
+/// work). Lowest index wins ties, for determinism. The argmin is
+/// ClusterView::cheapest_open, so the simulator's view prices each
+/// distinct machine state once while any other view scans every open
+/// machine; both pick the same machine. With the truth matrix as the
+/// estimate this is the oracle; with a predicted matrix it is the
+/// static-analytic scheduler.
 class CostModelPolicy : public PlacementPolicy {
  public:
   CostModelPolicy(std::string name, harness::CorunMatrix estimate);

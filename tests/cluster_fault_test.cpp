@@ -150,6 +150,30 @@ TEST(FaultFree, EngineValidatesFaultSchedules) {
   EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
 }
 
+// A policy bug the engine must catch: choosing a failed machine. Its
+// slots are free, but it is out of the open set and reports none.
+TEST(FaultFree, EngineRejectsPlacementOnADownMachine) {
+  class PicksMachineZero final : public PlacementPolicy {
+   public:
+    std::string name() const override { return "machine-0"; }
+    using PlacementPolicy::place;
+    std::size_t place(const JobSpec&, const ClusterView& cluster) override {
+      free_slots_seen = cluster.free_slots(0);
+      return 0;
+    }
+    std::size_t free_slots_seen = 99;
+  };
+  const auto truth = synthetic_truth();
+  const auto trace = neutral_jobs({{1.0, 1.0}});
+  ClusterConfig cfg;
+  cfg.machines = 2;
+  cfg.faults = {{0.5, 0, FaultEvent::Kind::Down},
+                {5.0, 0, FaultEvent::Kind::Up}};
+  PicksMachineZero p;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::logic_error);
+  EXPECT_EQ(p.free_slots_seen, 0u);
+}
+
 // --- deterministic fault replay -------------------------------------
 
 TEST(FaultReplay, SameSeedSameAuditLog) {

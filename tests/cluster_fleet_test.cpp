@@ -1,7 +1,9 @@
 // Fleet-engine tests: the indexed event loop (simulate) pinned against
 // the reference scan loop (simulate_reference) -- byte-identical audit
 // logs, matching regret -- plus the fleet trace generators, priority
-// classes, regret sampling, and the audit-log job-id regression.
+// classes, regret sampling, the audit-log job-id regression, and the
+// candidate index (select, and indexed pricing against the default
+// ClusterView scan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "cluster_fixtures.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace coperf::cluster {
 namespace {
@@ -88,6 +91,29 @@ TEST(FleetEquivalence, MatchesReferenceOnRegimeChangeTruth) {
   EXPECT_NEAR(ref.mean_decision_regret, fleet.mean_decision_regret, 1e-9);
   EXPECT_NEAR(ref.mean_stretch, fleet.mean_stretch, 1e-9);
   EXPECT_EQ(ref.billed_decisions, fleet.billed_decisions);
+}
+
+// Same-instant completions on different machines resolve lowest
+// machine first, as in the reference loop: identical neutral jobs
+// (1.00x together) arrive in two waves and finish in exact ties while
+// the queue refills the freed slots.
+TEST(FleetEquivalence, TiedCompletionsFollowTheReference) {
+  const auto truth = synthetic_truth();
+  std::vector<JobSpec> trace;
+  for (std::size_t i = 0; i < 12; ++i) {
+    JobSpec j;
+    j.id = i;
+    j.type = 2;  // neutral
+    j.arrival = i < 6 ? 0.0 : 1.0;
+    j.work = 2.0;
+    trace.push_back(j);
+  }
+  ClusterConfig cfg;
+  cfg.machines = 4;
+  CostModelPolicy p_ref{"oracle", truth}, p_fleet{"oracle", truth};
+  const std::string ref =
+      simulate_reference(cfg, truth, trace, p_ref).log.str(truth.workloads);
+  EXPECT_EQ(ref, simulate(cfg, truth, trace, p_fleet).log.str(truth.workloads));
 }
 
 // --- audit-log job identity (the bugfix) ----------------------------
@@ -393,6 +419,256 @@ TEST(FleetEngine, HandlesAFleetShapedTrace) {
   EXPECT_EQ(res.billed_decisions, (trace.size() + 99) / 100);
   EXPECT_NEAR(res.mean_decision_regret, 0.0, 1e-9)
       << "the additive oracle stays regret-free under sampling";
+}
+
+// --- candidate index --------------------------------------------------
+
+// MachineSet::select must return what walking next() k times does,
+// across densities and sizes that straddle word and block edges.
+TEST(CandidateIndex, SelectMatchesTheLinearWalk) {
+  util::SplitMix64 rng{42};
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 4095u, 4097u, 20'000u}) {
+    for (const double density : {0.001, 0.1, 0.5, 0.97}) {
+      detail::MachineSet set{n};
+      std::vector<char> ref(n, 0);
+      for (std::size_t i = 0; i < n; ++i)
+        if (rng.uniform() < density) set.insert(i), ref[i] = 1;
+      // Churn: erase and re-insert a few, so counts move both ways.
+      for (std::size_t e = 0; e < n / 4 + 1; ++e) {
+        const std::size_t i = rng.below(n);
+        if (rng.uniform() < 0.5) set.erase(i), ref[i] = 0;
+        else set.insert(i), ref[i] = 1;
+      }
+      std::size_t count = 0;
+      for (const char c : ref) count += c;
+      ASSERT_EQ(set.size(), count);
+      std::size_t walk = set.next(0), k = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!ref[i]) continue;
+        ASSERT_EQ(walk, i) << "next() skipped or invented a member";
+        ASSERT_EQ(set.select(k), i) << "n=" << n << " k=" << k;
+        ASSERT_TRUE(set.contains(i));
+        walk = set.next(walk + 1);
+        ++k;
+      }
+      EXPECT_EQ(walk, n);
+      EXPECT_EQ(set.select(count), n);
+    }
+  }
+}
+
+// Forwards only the five required virtuals, so cheapest_open falls
+// back to ClusterView's default scan over every open machine.
+class ScanView final : public ClusterView {
+ public:
+  explicit ScanView(const ClusterView& inner) : inner_(inner) {}
+  std::size_t machines() const override { return inner_.machines(); }
+  std::size_t open_count() const override { return inner_.open_count(); }
+  std::size_t kth_open(std::size_t k) const override {
+    return inner_.kth_open(k);
+  }
+  std::size_t free_slots(std::size_t m) const override {
+    return inner_.free_slots(m);
+  }
+  const MachineView& view(std::size_t m) const override {
+    return inner_.view(m);
+  }
+
+ private:
+  const ClusterView& inner_;
+};
+
+/// Runs the wrapped policy against a ScanView of the engine.
+class ScanPolicy final : public PlacementPolicy {
+ public:
+  explicit ScanPolicy(PlacementPolicy& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  using PlacementPolicy::place;
+  std::size_t place(const JobSpec& job, const ClusterView& cluster) override {
+    return inner_.place(job, ScanView{cluster});
+  }
+  void observe_group(const std::vector<std::size_t>& types,
+                     const std::vector<double>& slowdowns) override {
+    inner_.observe_group(types, slowdowns);
+  }
+  double last_cost_delta() const override { return inner_.last_cost_delta(); }
+
+ private:
+  PlacementPolicy& inner_;
+};
+
+harness::CorunMatrix matrix_of(
+    const std::vector<std::vector<double>>& normalized) {
+  harness::CorunMatrix m;
+  for (std::size_t i = 0; i < normalized.size(); ++i) {
+    m.workloads.push_back("t" + std::to_string(i));
+    m.solo_cycles.push_back(1'000'000);
+  }
+  m.normalized = normalized;
+  return m;
+}
+
+/// The three pricing regimes of the candidate index, over 8 types.
+std::vector<harness::CorunMatrix> exactness_matrices() {
+  constexpr std::size_t kTypes = 8;
+  std::vector<std::vector<double>> hog(kTypes, std::vector<double>(kTypes));
+  std::vector<std::vector<double>> sub1 = hog, flat = hog;
+  util::SplitMix64 rng{5};
+  for (std::size_t f = 0; f < kTypes; ++f)
+    for (std::size_t b = 0; b < kTypes; ++b) {
+      // Hog/victim: column 0 is harmless (exactly 1.0), so a type-0
+      // resident's coefficient is exactly 0.
+      hog[f][b] = 1.0 + 1.1 * (0.2 + 0.8 * f / 7.0) * (b / 7.0);
+      // Sub-1 entries: negative coefficients walk classes downwards.
+      // A few sit one ulp from 1: coefficients so small that adding
+      // them to the job's own excess rounds away, so whole classes
+      // tie and only ids decide.
+      sub1[f][b] = 0.7 + 0.8 * rng.uniform();
+      if (f > b && (f + b) % 3 == 0)
+        sub1[f][b] = (f + b) % 2 ? 1.0 + 0x1p-52 : 1.0 - 0x1p-53;
+      // All equal: every delta ties, so ids decide.
+      flat[f][b] = 1.0;
+    }
+  return {matrix_of(hog), matrix_of(sub1), matrix_of(flat)};
+}
+
+std::vector<predict::WorkloadSignature> exactness_sigs(std::size_t n) {
+  std::vector<predict::WorkloadSignature> sigs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i) / static_cast<double>(n - 1);
+    predict::WorkloadSignature s;
+    s.workload = "t" + std::to_string(i);
+    s.threads = 4;
+    s.bw_fraction = 0.05 + 0.9 * x;
+    s.solo_bw_gbs = s.bw_fraction * 28.0;
+    s.l2_pcp = 0.8 - 0.6 * x;
+    s.mem_stall_frac = s.l2_pcp * 0.9;
+    s.llc_mpki = 0.1 + 30.0 * x * x;
+    s.l2_mpki = s.llc_mpki * 1.5;
+    s.cpi = 1.0 + s.l2_pcp;
+    s.ipc = 1.0 / s.cpi;
+    s.ll = 100.0;
+    s.footprint_vs_llc = s.bw_fraction * 2.0;
+    s.prefetch_share = 0.5;
+    s.solo_cycles = 1'000'000;
+    s.solo_seconds = 3.7e-4;
+    sigs.push_back(s);
+  }
+  return sigs;
+}
+
+void expect_same_result(const ClusterResult& a, const ClusterResult& b,
+                        const std::vector<std::string>& workloads,
+                        const std::string& where) {
+  ASSERT_EQ(a.log.str(workloads), b.log.str(workloads)) << where;
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << where;
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const JobOutcome& x = a.outcomes[i];
+    const JobOutcome& y = b.outcomes[i];
+    ASSERT_TRUE(x.machine == y.machine && x.start == y.start &&
+                x.finish == y.finish && x.retries == y.retries &&
+                x.evictions == y.evictions && x.defers == y.defers &&
+                x.shed == y.shed)
+        << where << ": outcome of job " << i;
+  }
+  EXPECT_EQ(a.mean_stretch, b.mean_stretch) << where;
+  EXPECT_EQ(a.mean_corun_slowdown, b.mean_corun_slowdown) << where;
+  EXPECT_EQ(a.makespan, b.makespan) << where;
+  EXPECT_EQ(a.mean_decision_regret, b.mean_decision_regret) << where;
+  EXPECT_EQ(a.billed_decisions, b.billed_decisions) << where;
+  EXPECT_EQ(a.pairwise_fallbacks, b.pairwise_fallbacks) << where;
+  EXPECT_EQ(a.failures, b.failures) << where;
+  EXPECT_EQ(a.recoveries, b.recoveries) << where;
+  EXPECT_EQ(a.fault_kills, b.fault_kills) << where;
+  EXPECT_EQ(a.migrations, b.migrations) << where;
+  EXPECT_EQ(a.shed_jobs, b.shed_jobs) << where;
+  EXPECT_EQ(a.shed_work, b.shed_work) << where;
+  EXPECT_EQ(a.completed_jobs, b.completed_jobs) << where;
+  ASSERT_EQ(a.class_stats.size(), b.class_stats.size()) << where;
+  for (std::size_t c = 0; c < a.class_stats.size(); ++c) {
+    const ClassStats& x = a.class_stats[c];
+    const ClassStats& y = b.class_stats[c];
+    EXPECT_TRUE(x.jobs == y.jobs && x.completed == y.completed &&
+                x.shed == y.shed && x.work_completed == y.work_completed &&
+                x.goodput == y.goodput && x.mean_stretch == y.mean_stretch &&
+                x.mean_regret == y.mean_regret && x.billed == y.billed)
+        << where << ": class " << c;
+  }
+}
+
+// The indexed cheapest_open must pick what the default scan picks, bit
+// for bit: same audit log and same ClusterResult for the cost-model
+// and online-refined policies, across fleet sizes, slot counts, the
+// three pricing regimes, and every fault/migration/admission mix. Each
+// cell draws its own trace and fault seed.
+TEST(CandidateIndex, IndexedPricingMatchesTheDefaultScan) {
+  const auto matrices = exactness_matrices();
+  const auto sigs = exactness_sigs(8);
+  std::vector<std::unique_ptr<predict::LeastSquaresModel>> trained;
+  for (const harness::CorunMatrix& m : matrices)
+    trained.push_back(distilled_model(m, sigs));
+  const auto model = [&](std::size_t mi) {
+    return std::make_unique<predict::LeastSquaresModel>(*trained[mi]);
+  };
+  std::uint64_t seed = 100;
+  for (const std::size_t machines : {1u, 7u, 64u, 1000u}) {
+    const std::size_t jobs = machines >= 1000 ? 300 : 300 + 4 * machines;
+    for (const std::size_t slots : {2u, 3u}) {
+      for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
+        const harness::CorunMatrix& truth = matrices[mi];
+        for (unsigned mix = 0; mix < 8; ++mix) {
+          const bool faults = mix & 1, migration = mix & 2,
+                     admission = mix & 4;
+          ++seed;
+          FleetTraceOptions topt;
+          topt.jobs = jobs;
+          topt.seed = seed;
+          topt.arrivals = ArrivalModel::Bursty;
+          topt.work = WorkModel::Pareto;
+          topt.class_shares = {0.7, 0.3};
+          topt.mean_interarrival =
+              topt.mean_work / (1.1 * static_cast<double>(machines * slots));
+          const auto trace = fleet_trace(truth.size(), topt);
+          ClusterConfig cfg;
+          cfg.machines = machines;
+          cfg.slots = slots;
+          cfg.regret_sample = 50;
+          if (faults) {
+            FaultScheduleOptions fopt;
+            fopt.seed = seed;
+            fopt.horizon = trace.back().arrival;
+            fopt.mtbf = fopt.horizon / 2.0;
+            fopt.mttr = fopt.mtbf / 10.0;
+            cfg.faults = fault_schedule(machines, fopt);
+          }
+          cfg.migration.preempt = migration;
+          if (admission) {
+            cfg.admission.queue_limit = machines;
+            cfg.admission.defer_delay = 1.0;
+            cfg.admission.max_defers = 1;
+          }
+          const std::string where =
+              std::to_string(machines) + "x" + std::to_string(slots) +
+              " matrix " + std::to_string(mi) + " mix " + std::to_string(mix);
+          {
+            CostModelPolicy indexed{"oracle", truth}, scanned{"oracle", truth};
+            ScanPolicy scan{scanned};
+            expect_same_result(simulate(cfg, truth, trace, indexed),
+                               simulate(cfg, truth, trace, scan),
+                               truth.workloads, where + " cost-model");
+          }
+          {
+            OnlineRefinedPolicy indexed{"online", model(mi), sigs};
+            OnlineRefinedPolicy scanned{"online", model(mi), sigs};
+            ScanPolicy scan{scanned};
+            expect_same_result(simulate(cfg, truth, trace, indexed),
+                               simulate(cfg, truth, trace, scan),
+                               truth.workloads, where + " online-refined");
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
