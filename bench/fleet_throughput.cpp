@@ -26,11 +26,15 @@
 //                     (~135% of slot capacity) plus machine churn, a
 //                     no-shed baseline vs admission control + preemptive
 //                     migration, compared on per-class goodput and
-//                     regret (quick = first rung only)
+//                     regret, with decisions/s per row (placements,
+//                     re-placements included, per wall second; quick =
+//                     first rung only, --machines/--jobs = that rung)
 //   --trace=FILE      Chrome trace of the run (machine lanes are
 //                     emitted per simulated machine: use small rungs)
 //
-// --json appends machine-readable output and persists it as
+// --csv appends the rung table as CSV, then the fault rows as a second
+// block (9 columns) when --faults is on. --json appends
+// machine-readable output and persists it as
 // BENCH_fleet_throughput.json at the repo root (the perf-CI snapshot),
 // including the fault ladder's per-class breakdown when --faults is on.
 #include <chrono>
@@ -228,6 +232,7 @@ int main(int argc, char** argv) try {
     bool protected_ = false;
     Rung rung{};
     double wall_s = 0.0;
+    double dps = 0.0;  ///< placements (re-placements included) per second
     double makespan = 0.0;
     std::size_t failures = 0, migrations = 0, shed_jobs = 0;
     double shed_work = 0.0;
@@ -289,6 +294,10 @@ int main(int argc, char** argv) try {
           fr.rung = rung;
           fr.wall_s =
               std::chrono::duration<double>(Clock::now() - t0).count();
+          std::size_t placements = 0;
+          for (const cluster::TraceEvent& e : res.log.events)
+            placements += e.kind == cluster::TraceEvent::Kind::Place;
+          fr.dps = static_cast<double>(placements) / fr.wall_s;
           fr.makespan = res.makespan;
           fr.failures = res.failures;
           fr.migrations = res.migrations;
@@ -314,19 +323,22 @@ int main(int argc, char** argv) try {
                     << ": top-class goodput "
                     << harness::Table::fmt(hp.goodput, 2) << ", stretch "
                     << harness::Table::fmt(hp.mean_stretch, 2) << ", shed "
-                    << fr.shed_jobs << " jobs\n";
+                    << fr.shed_jobs << " jobs, "
+                    << harness::Table::fmt(fr.dps / 1e6, 2)
+                    << "M decisions/s\n";
         }
       }
     }
 
     harness::Table ftable{{"machines", "jobs", "policy", "config",
-                           "failures", "migrations", "shed", "hp goodput",
-                           "hp stretch", "hp queue regret"}};
+                           "decisions/s", "failures", "migrations", "shed",
+                           "hp goodput", "hp stretch", "hp queue regret"}};
     for (const FaultRow& fr : frows) {
       const cluster::ClassStats& hp = fr.classes.back();
       ftable.add_row({std::to_string(fr.rung.machines),
                       std::to_string(fr.rung.jobs), fr.policy,
                       fr.protected_ ? "protected" : "baseline",
+                      harness::Table::fmt(fr.dps, 0),
                       std::to_string(fr.failures),
                       std::to_string(fr.migrations),
                       std::to_string(fr.shed_jobs),
@@ -401,7 +413,20 @@ int main(int argc, char** argv) try {
                                    : std::to_string(regret_sample) + "th")
             << " decision; the oracle rows should stay ~0 at any scale.\n";
 
-  if (args.csv) std::cout << "\n" << csv;
+  if (args.csv) {
+    std::cout << "\n" << csv;
+    if (faults) {
+      std::cout << "\nmachines,jobs,policy,config,wall_s,decisions_per_s,"
+                   "failures,migrations,shed_jobs\n";
+      for (const FaultRow& fr : frows)
+        std::cout << fr.rung.machines << "," << fr.rung.jobs << ","
+                  << fr.policy << ","
+                  << (fr.protected_ ? "protected" : "baseline") << ","
+                  << harness::Table::fmt(fr.wall_s, 4) << ","
+                  << harness::Table::fmt(fr.dps, 1) << "," << fr.failures
+                  << "," << fr.migrations << "," << fr.shed_jobs << "\n";
+    }
+  }
   if (args.json) {
     const auto model_name = [&] {
       std::string a = arrivals == cluster::ArrivalModel::Poisson ? "poisson"
@@ -439,6 +464,7 @@ int main(int argc, char** argv) try {
            << fr.policy << "\", \"config\": \""
            << (fr.protected_ ? "protected" : "baseline")
            << "\", \"wall_s\": " << fr.wall_s
+           << ", \"decisions_per_s\": " << fr.dps
            << ", \"makespan\": " << fr.makespan
            << ", \"failures\": " << fr.failures
            << ", \"migrations\": " << fr.migrations

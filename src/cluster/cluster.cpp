@@ -241,6 +241,42 @@ class CandidateIndex {
   std::vector<double> eta_;       ///< filing key of a single resident
 };
 
+/// Occupied machines filed by the priority classes of their residents:
+/// the victim index behind preemptive migration. Machine m sits in
+/// class c's set while it hosts at least one class-c resident, so the
+/// lowest-class victim is one next(0) per class away instead of a scan
+/// over every resident of the fleet.
+class VictimIndex {
+ public:
+  /// One bit per priority class.
+  using ClassMask = std::uint8_t;
+  static_assert(kMaxPriority < 8 * sizeof(ClassMask),
+                "every priority class needs a bit in ClassMask");
+
+  VictimIndex(std::size_t machines, std::size_t classes)
+      : by_class_(classes, detail::MachineSet(machines)), mask_(machines, 0) {}
+
+  /// Re-files machine m under the classes in `mask`; only the sets
+  /// whose bit changed are touched.
+  void refile(std::size_t m, ClassMask mask) {
+    for (ClassMask diff = mask_[m] ^ mask; diff; diff &= diff - 1) {
+      const int c = std::countr_zero(diff);
+      if (mask >> c & 1)
+        by_class_[c].insert(m);
+      else
+        by_class_[c].erase(m);
+    }
+    mask_[m] = mask;
+  }
+
+  /// Lowest machine hosting a class-c resident; past the end if none.
+  std::size_t first(unsigned c) const { return by_class_[c].next(0); }
+
+ private:
+  std::vector<detail::MachineSet> by_class_;
+  std::vector<ClassMask> mask_;
+};
+
 /// A ~1e-9 relative ETA gap dwarfs the rounding (a few ulps of the
 /// ETA) in both a cached ETA and view()'s remaining work, so a machine
 /// whose ETA is further out by more than this has strictly more work
@@ -466,6 +502,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   unsigned max_priority = 0;
   for (const JobSpec& j : trace) max_priority = std::max(max_priority, j.priority);
+  VictimIndex victims(cfg.machines, max_priority + 1);
   std::vector<std::deque<std::size_t>> waiting(max_priority + 1);
   std::size_t waiting_count = 0;
 
@@ -596,6 +633,12 @@ ClusterResult simulate(const ClusterConfig& cfg,
     heap.update(m, ms.residents.empty() ? kInf : ms.next_eta);
     index.refile(m, alive[m] && ms.residents.size() < cfg.slots,
                  ms.residents);
+    if (cfg.migration.preempt) {
+      VictimIndex::ClassMask mask = 0;
+      for (const Resident& r : ms.residents)
+        mask |= static_cast<VictimIndex::ClassMask>(1u << trace[r.job].priority);
+      victims.refile(m, mask);
+    }
   };
 
   // --- graceful-degradation helpers (inert on a fault-free run) -------
@@ -685,9 +728,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
       if (index.open().size() == 0) {
         // Preemptive migration: let the highest waiting class claim a
         // slot from a strictly lower-priority resident (lowest class
-        // first; ties to the lowest machine then slot). The victim
-        // pays the work-loss restart penalty and requeues immediately
-        // at the back of its own lane -- no backoff, it did nothing
+        // first; ties to the lowest machine then slot), found through
+        // the victim index in one lookup per class. The victim pays
+        // the work-loss restart penalty and requeues immediately at
+        // the back of its own lane -- no backoff, it did nothing
         // wrong. Progress is guaranteed: every eviction is followed by
         // a strictly higher-priority placement.
         if (!cfg.migration.preempt) break;
@@ -698,30 +742,25 @@ ClusterResult simulate(const ClusterConfig& cfg,
             break;
           }
         }
-        std::size_t vm = cfg.machines, vs = 0;
+        std::size_t vm = cfg.machines;
         unsigned vprio = 0;
-        for (std::size_t m = 0; m < cfg.machines; ++m) {
-          for (std::size_t s = 0; s < machines[m].residents.size(); ++s) {
-            const unsigned p = trace[machines[m].residents[s].job].priority;
-            if (p >= top) continue;
-            if (vm == cfg.machines || p < vprio) {
-              vm = m;
-              vs = s;
-              vprio = p;
-            }
-          }
-        }
+        for (; vprio < top; ++vprio)
+          if ((vm = victims.first(vprio)) < cfg.machines) break;
         if (vm == cfg.machines) break;  // nothing strictly lower to evict
         MachineState& vms = machines[vm];
-        const std::size_t vjid = vms.residents[vs].job;
+        const auto victim = std::find_if(
+            vms.residents.begin(), vms.residents.end(),
+            [&](const Resident& r) { return trace[r.job].priority == vprio; });
+        if (victim == vms.residents.end())
+          throw std::logic_error{"simulate: victim index out of step"};
+        const std::size_t vjid = victim->job;
         close_lane(vm);  // the resident set is about to change
         materialize(vms);
-        const double vleft = vms.residents[vs].remaining;
+        const double vleft = victim->remaining;
         const double vexecuted = pending[vjid] - vleft;
         pending[vjid] = std::max(
             0.0, pending[vjid] - cfg.retry.checkpoint * vexecuted);
-        vms.residents.erase(vms.residents.begin() +
-                            static_cast<std::ptrdiff_t>(vs));
+        vms.residents.erase(victim);
         reindex(vm);
         --running_count;
         ++stamp;
@@ -987,6 +1026,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
   if (res.lc_billed_decisions > 0)
     res.mean_lc_tail_regret /= static_cast<double>(res.lc_billed_decisions);
   res.pairwise_fallbacks = truth.fallbacks() - fallbacks_before;
+  // The log grew by doubling; hand back only what it holds, so results
+  // kept alive by the caller do not pin up to twice their events.
+  res.log.events.shrink_to_fit();
   return res;
 }
 

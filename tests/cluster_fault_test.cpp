@@ -1,11 +1,15 @@
 // Fault-injection and graceful-degradation tests: the fault schedule
 // generator, fault-free byte-identity against the reference loop,
 // deterministic fault replay, retry/backoff and work-loss accounting,
-// preemptive migration ordering, and admission-control shed billing.
+// preemptive migration ordering, admission-control shed billing, and
+// audit-log goldens of the protected config.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -354,6 +358,109 @@ TEST(Migration, NeverEvictsEqualOrHigherClass) {
       << "equal-class residents must not be preempted";
 }
 
+// Places every job on the lowest open machine, so hand-built tests
+// decide exactly which slot each job lands in.
+class FirstOpen final : public PlacementPolicy {
+ public:
+  std::string name() const override { return "first-open"; }
+  using PlacementPolicy::place;
+  std::size_t place(const JobSpec&, const ClusterView& cluster) override {
+    return cluster.kth_open(0);
+  }
+};
+
+/// Neutral jobs, one per (arrival, priority), long enough that none
+/// finishes inside the hand-built scenarios below.
+std::vector<JobSpec> classed_jobs(
+    const std::vector<std::pair<double, unsigned>>& arrival_priority) {
+  std::vector<JobSpec> trace;
+  for (const auto& [arrival, priority] : arrival_priority) {
+    JobSpec j;
+    j.id = trace.size();
+    j.type = kNeutral;
+    j.arrival = arrival;
+    j.work = 1000.0;
+    j.priority = priority;
+    trace.push_back(j);
+  }
+  return trace;
+}
+
+/// (time, job, machine) of an Evict event.
+using Evict = std::tuple<double, std::size_t, std::size_t>;
+
+/// Every Evict event in the log, in order.
+std::vector<Evict> evictions(const ClusterResult& res) {
+  std::vector<Evict> out;
+  for (const TraceEvent& e : res.log.events)
+    if (e.kind == TraceEvent::Kind::Evict)
+      out.emplace_back(e.time, e.job, e.machine);
+  return out;
+}
+
+// 3-slot machines with mixed classes: the victim is the lowest class,
+// then the lowest machine hosting it, then that machine's first slot
+// holding it -- here machine 0 = [p1, p0, p0], machine 1 = [p0, p2, p2]
+// evicts machine 0's slot 1 (job 1), not its class-1 slot 0 nor
+// machine 1's class-0 slot 0.
+TEST(Migration, VictimIsFirstSlotOfLowestClassOnLowestMachine) {
+  const auto truth = synthetic_truth();
+  const auto trace = classed_jobs(
+      {{0.0, 1}, {0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 2}, {0.0, 2}, {1.0, 3}});
+  ClusterConfig cfg;
+  cfg.machines = 2;
+  cfg.slots = 3;
+  cfg.migration.preempt = true;
+  FirstOpen p;
+  const ClusterResult res = simulate(cfg, truth, trace, p);
+  EXPECT_EQ(evictions(res), (std::vector<Evict>{{1.0, 1, 0}}));
+  EXPECT_EQ(res.outcomes[6].machine, 0u);
+  EXPECT_NEAR(res.outcomes[6].start, 1.0, 1e-9);
+
+  // With class 0 only on the higher machine, the lower machine's
+  // class-1 residents are passed over: [p1, p2, p1], [p2, p1, p0].
+  const auto trace2 = classed_jobs(
+      {{0.0, 1}, {0.0, 2}, {0.0, 1}, {0.0, 2}, {0.0, 1}, {0.0, 0}, {1.0, 3}});
+  FirstOpen p2;
+  const ClusterResult res2 = simulate(cfg, truth, trace2, p2);
+  EXPECT_EQ(evictions(res2), (std::vector<Evict>{{1.0, 5, 1}}));
+}
+
+// The victim index follows every resident-set change: a class-0 job
+// killed by a machine Down is gone from it (the next victim is on the
+// surviving machine), and the recovered machine rejoins it once a new
+// class-0 job is placed there.
+TEST(Migration, VictimIndexFollowsFaultsAndRecovery) {
+  const auto truth = synthetic_truth();
+  // t=0: machine 0 = [p0 j0, p2 j1, p2 j2], machine 1 = [p1 j3, p0 j4,
+  // p1 j5]. t=1: machine 0 fails (its jobs are shed: no retries).
+  // t=2: class-2 j6 finds the fleet full and must evict j4 from
+  // machine 1. t=50: machine 0 recovers and takes the waiting j4.
+  // t=51: j7, j8 fill it. t=52: class-1 j9 must evict j4 again, now
+  // from machine 0 -- the only class-0 resident left.
+  const auto trace =
+      classed_jobs({{0.0, 0}, {0.0, 2}, {0.0, 2}, {0.0, 1}, {0.0, 0},
+                    {0.0, 1}, {2.0, 2}, {51.0, 2}, {51.0, 2}, {52.0, 1}});
+  ClusterConfig cfg;
+  cfg.machines = 2;
+  cfg.slots = 3;
+  cfg.faults = {{1.0, 0, FaultEvent::Kind::Down},
+                {50.0, 0, FaultEvent::Kind::Up}};
+  cfg.retry.max_retries = 0;
+  cfg.migration.preempt = true;
+  FirstOpen p;
+  const ClusterResult res = simulate(cfg, truth, trace, p);
+
+  EXPECT_EQ(evictions(res), (std::vector<Evict>{{2.0, 4, 1}, {52.0, 4, 0}}));
+  EXPECT_EQ(res.migrations, 2u);
+  EXPECT_TRUE(res.outcomes[0].shed) << "the fault-killed class-0 job";
+  EXPECT_EQ(res.outcomes[0].evictions, 0u);
+  EXPECT_EQ(res.outcomes[4].evictions, 2u);
+  EXPECT_NEAR(res.outcomes[6].start, 2.0, 1e-9);
+  EXPECT_NEAR(res.outcomes[9].start, 52.0, 1e-9);
+  EXPECT_EQ(res.outcomes[9].machine, 0u);
+}
+
 // --- admission control ----------------------------------------------
 
 TEST(Admission, ShedBillingConservesWork) {
@@ -485,6 +592,123 @@ TEST(Degradation, ProtectionLiftsHighPriorityGoodput) {
   EXPECT_LT(rp.class_stats[1].mean_stretch, rb.class_stats[1].mean_stretch)
       << "class-1 jobs must also wait less";
   EXPECT_EQ(rp.class_stats[1].shed, 0u);
+}
+
+// --- protected-config goldens --------------------------------------
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Audit-log hashes of the protected config -- faults and retries,
+// admission control that defers then sheds, and preemptive migration --
+// over 8 seeds x slots {2, 3} x machines {7, 64}, random then oracle
+// placement, with 3 or 4 priority classes at ~135% load. Any change to
+// victim choice, requeue order or admission changes some log. On a
+// mismatch the test prints the whole regenerated table; replace it only
+// for an intended behaviour change.
+TEST(ProtectedGolden, AuditLogHashesPinned) {
+  constexpr std::uint64_t kGolden[] = {
+      0xd014015aff049e5bull, 0x44e1ebdac295aa94ull,
+      0xe03d4d70a112713ull, 0x7fc6a380742b3426ull,
+      0xba7402ccf78d9366ull, 0x32b7537a4009425dull,
+      0xcfe23fa23d88b8cbull, 0xfb078ef48749d7a4ull,
+      0x2d068dca54bcd22aull, 0xdd00984e93e8432ull,
+      0xd8bb013029a1b6c0ull, 0xa18488c6bd5ccd58ull,
+      0x54dd977c4e340c44ull, 0xf188d0b2583a4704ull,
+      0x2735c101f16ce6eeull, 0xe8c0a3b02afcc0bfull,
+      0x24f73de0ebd46459ull, 0x804283e8a5de03a9ull,
+      0xa9521e19f91814d7ull, 0x5cef5d384dfda071ull,
+      0x8a8fba9eae439b8aull, 0x5b584d480fe75585ull,
+      0x776e02a1488484ebull, 0xcdfcf7f06b7e6f29ull,
+      0x766b0cdadb7be1afull, 0x5399c419fb4cd8aeull,
+      0xb85f86c72b7cba7bull, 0x33487e4158e9ba68ull,
+      0x76d6a0f919f52d3ull, 0x2acde3ab13728507ull,
+      0xa1315d76adf3b12cull, 0x4e02c3dcde102b32ull,
+      0xdd63679dcbbd11c8ull, 0x44c9f659f60f3ac0ull,
+      0x97ecbb1e9eb784d9ull, 0x3e3816e5ad7138deull,
+      0xe76cbd667a6dd08aull, 0xaf654676ce2947c8ull,
+      0x65b3b08bb31a3fe6ull, 0xca274a92fa7020c5ull,
+      0xe77383d0d2551e28ull, 0xad9f3b32868e898dull,
+      0x59af409cf40d3fe7ull, 0x8567b6cdcd2455c7ull,
+      0x1915a3131584cc20ull, 0xb12d5832ccabd827ull,
+      0x585bd9e66d97c546ull, 0xea18418bae8e2fabull,
+      0x3ebf460e6deff4b9ull, 0xd2d7a117c381ab6bull,
+      0xa5d655f8e5d1afe6ull, 0x31a85dde16f34d3ull,
+      0xece7db080087d5cull, 0xfb5bd9d29b2b7d80ull,
+      0xfee1d12de61fdd14ull, 0x30754db85d6846c1ull,
+      0xfe5cd127632b3874ull, 0x70cd97821b1e8966ull,
+      0x1ecde6cc8cf06aebull, 0x4b04bea41ee0167full,
+      0x2e972bd7389be377ull, 0x399768021e97a82full,
+      0x118c099db32fe143ull, 0xc5307cb1caec7dadull,
+  };
+  const auto truth = synthetic_truth();
+  std::vector<std::uint64_t> got;
+  std::size_t migrations = 0, shed = 0, failures = 0, defers = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    for (const std::size_t slots : {2u, 3u})
+      for (const std::size_t machines : {7u, 64u}) {
+        FleetTraceOptions fopt;
+        fopt.jobs = machines * 30;
+        fopt.seed = seed;
+        fopt.arrivals = ArrivalModel::Bursty;
+        fopt.work = WorkModel::Pareto;
+        fopt.class_shares = seed % 2 ? std::vector<double>{0.5, 0.25, 0.15, 0.1}
+                                     : std::vector<double>{0.6, 0.3, 0.1};
+        fopt.mean_interarrival =
+            fopt.mean_work / (1.35 * static_cast<double>(machines * slots));
+        const auto trace = fleet_trace(truth.size(), fopt);
+
+        FaultScheduleOptions sched;
+        sched.seed = seed + 100;
+        sched.horizon = trace.back().arrival;
+        sched.mtbf = sched.horizon / 3.0;
+        sched.mttr = sched.mtbf / 20.0;
+
+        ClusterConfig cfg;
+        cfg.machines = machines;
+        cfg.slots = slots;
+        cfg.faults = fault_schedule(machines, sched);
+        cfg.migration.preempt = true;
+        cfg.admission.queue_limit = machines;
+        cfg.admission.shed_below = 2;
+        cfg.admission.defer_delay = 2.0;
+        cfg.admission.max_defers = 2;
+
+        RandomPolicy random{seed};
+        CostModelPolicy oracle{"oracle", truth};
+        for (PlacementPolicy* p : {static_cast<PlacementPolicy*>(&random),
+                                   static_cast<PlacementPolicy*>(&oracle)}) {
+          const ClusterResult res = simulate(cfg, truth, trace, *p);
+          got.push_back(fnv1a(res.log.str(truth.workloads)));
+          migrations += res.migrations;
+          shed += res.shed_jobs;
+          failures += res.failures;
+          for (const TraceEvent& e : res.log.events)
+            defers += e.kind == TraceEvent::Kind::Defer;
+        }
+      }
+  // The grid must exercise every protected path it pins.
+  EXPECT_GT(migrations, 0u);
+  EXPECT_GT(shed, 0u);
+  EXPECT_GT(failures, 0u);
+  EXPECT_GT(defers, 0u);
+
+  if (got != std::vector<std::uint64_t>(std::begin(kGolden),
+                                        std::end(kGolden))) {
+    std::ostringstream table;
+    table << std::hex;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      table << (i % 2 ? " " : "\n      ") << "0x" << got[i] << "ull,";
+    ADD_FAILURE() << "protected-config audit logs changed; regenerated "
+                     "table (random, oracle per row):"
+                  << table.str();
+  }
 }
 
 }  // namespace
