@@ -113,7 +113,7 @@ int main(int argc, char** argv) try {
   mo.run = args.run_options();
   mo.reps = args.effective_reps();
   mo.subset = subset;
-  mo.host_threads = 0;  // pool default: hardware concurrency
+  mo.host_threads = 0;  // pool default: one lane per usable CPU
   // Dynamic (work-stealing) keeps every lane busy until the queue is
   // empty; StaticChunk's precomputed chunks leave lanes idle behind a
   // straggler chunk. Cell results are bit-identical under both.

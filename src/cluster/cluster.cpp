@@ -84,7 +84,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTraceUsPerUnit = 1000.0;
 
 void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
-              const std::vector<JobSpec>& trace, bool fleet_engine) {
+              const std::vector<JobSpec>& trace) {
   if (cfg.machines == 0)
     throw std::invalid_argument{"simulate: need at least one machine"};
   if (cfg.slots < 2)
@@ -103,20 +103,7 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
       throw std::invalid_argument{"simulate: job priority above kMaxPriority"};
     if (j.slo_p99 < 0.0)
       throw std::invalid_argument{"simulate: job slo_p99 must be >= 0"};
-    if (!fleet_engine && j.priority != 0)
-      throw std::invalid_argument{
-          "simulate_reference: the reference loop is priority-blind"};
-    if (!fleet_engine && j.latency_critical())
-      throw std::invalid_argument{
-          "simulate_reference: the reference loop is SLO-blind"};
     prev = j.arrival;
-  }
-  if (!fleet_engine) {
-    if (!cfg.faults.empty() || cfg.migration.preempt || cfg.admission.enabled())
-      throw std::invalid_argument{
-          "simulate_reference: the reference loop is fault-blind (no fault "
-          "schedule, migration, or admission control)"};
-    return;
   }
   double prev_fault = 0.0;
   std::vector<char> down(cfg.machines, 0);
@@ -490,7 +477,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        harness::InterferenceTruth& truth,
                        const std::vector<JobSpec>& trace,
                        PlacementPolicy& policy) {
-  validate(cfg, truth, trace, /*fleet_engine=*/true);
+  validate(cfg, truth, trace);
   const std::uint64_t fallbacks_before = truth.fallbacks();
 
   std::vector<MachineState> machines(cfg.machines);
@@ -1038,231 +1025,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        PlacementPolicy& policy) {
   harness::MatrixTruth additive{truth};
   return simulate(cfg, additive, trace, policy);
-}
-
-// --- reference engine (the executable specification) ----------------
-
-namespace {
-
-struct Running {
-  std::size_t job = 0;
-  double remaining = 0.0;  ///< solo-time units still to execute
-};
-
-}  // namespace
-
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 harness::InterferenceTruth& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy) {
-  validate(cfg, truth, trace, /*fleet_engine=*/false);
-  const std::uint64_t fallbacks_before = truth.fallbacks();
-
-  std::vector<std::vector<Running>> machines(cfg.machines);
-  std::deque<std::size_t> waiting;  // arrived, not yet placed (FIFO)
-  ClusterResult res;
-  res.outcomes.resize(trace.size());
-  double t = 0.0;
-  std::size_t next_arrival = 0;
-  std::size_t running_count = 0;
-
-  obs::Trace& tr = obs::Trace::instance();
-  const bool traced = tr.enabled();
-  const int trace_pid = traced ? tr.next_pid() : 0;
-  obs::Registry& reg = obs::Registry::instance();
-  obs::Counter& placements_ctr = reg.counter("cluster.placements");
-  obs::Counter& completions_ctr = reg.counter("cluster.completions");
-  if (traced) {
-    tr.name_process(trace_pid, "cluster " + policy.name() + " (" +
-                                   std::to_string(cfg.machines) + "x" +
-                                   std::to_string(cfg.slots) +
-                                   ", simulated time, reference)");
-    for (std::size_t m = 0; m < cfg.machines; ++m)
-      tr.name_thread(trace_pid, static_cast<int>(m),
-                     "machine " + std::to_string(m));
-  }
-  const auto type_label = [&](std::size_t type) -> std::string {
-    if (type < cfg.type_names.size()) return cfg.type_names[type];
-    std::string label{"t"};
-    label += std::to_string(type);
-    return label;
-  };
-  std::vector<double> lane_since(cfg.machines, 0.0);
-  const auto close_lane = [&](std::size_t m) {
-    if (!traced) return;
-    if (!machines[m].empty() && t > lane_since[m]) {
-      std::string label;
-      for (const Running& r : machines[m]) {
-        if (!label.empty()) label += '+';
-        label += type_label(trace[r.job].type);
-      }
-      tr.complete(trace_pid, static_cast<int>(m), std::move(label),
-                  lane_since[m] * kTraceUsPerUnit,
-                  (t - lane_since[m]) * kTraceUsPerUnit,
-                  obs::Args{}.set("residents", machines[m].size()).str());
-    }
-    lane_since[m] = t;
-  };
-  const auto emit_queue_depth = [&] {
-    if (traced)
-      tr.counter_at(trace_pid, "queue_depth", t * kTraceUsPerUnit,
-                    static_cast<double>(waiting.size()));
-  };
-
-  // Current slowdown of one resident: the truth oracle's answer for
-  // its co-resident group (measured when the truth holds the group,
-  // additive pairwise composition otherwise).
-  const auto slowdown_of = [&](std::size_t m, std::size_t slot) {
-    std::vector<std::size_t> others;
-    others.reserve(machines[m].size());
-    for (std::size_t s = 0; s < machines[m].size(); ++s)
-      if (s != slot) others.push_back(trace[machines[m][s].job].type);
-    return truth.slowdown(trace[machines[m][slot].job].type, others);
-  };
-
-  const auto drain_waiting = [&] {
-    while (!waiting.empty()) {
-      std::vector<MachineView> views(cfg.machines);
-      bool any_free = false;
-      for (std::size_t m = 0; m < cfg.machines; ++m) {
-        views[m].free_slots = cfg.slots - machines[m].size();
-        any_free = any_free || views[m].free_slots > 0;
-        for (const Running& r : machines[m])
-          views[m].residents.push_back(
-              {trace[r.job].type, std::max(0.0, r.remaining)});
-      }
-      if (!any_free) return;
-      const std::size_t jid = waiting.front();
-      waiting.pop_front();
-      const JobSpec& job = trace[jid];
-      const std::size_t m = policy.place(job, views);
-      if (m >= cfg.machines || machines[m].size() >= cfg.slots)
-        throw std::logic_error{"simulate: policy chose a full machine"};
-      double chosen = 0.0, best = kInf;
-      for (std::size_t v = 0; v < views.size(); ++v) {
-        if (views[v].free_slots == 0) continue;
-        const double d = placement_delta(truth, job.type, job.work, views[v]);
-        if (v == m) chosen = d;
-        best = std::min(best, d);
-      }
-      res.mean_decision_regret += chosen - best;
-      placements_ctr.add();
-      if (traced)
-        tr.instant_at(trace_pid, static_cast<int>(m),
-                      "place " + type_label(job.type), t * kTraceUsPerUnit,
-                      obs::Args{}
-                          .set("job", job.id)
-                          .set("policy", policy.name())
-                          .set("predicted_cost", policy.last_cost_delta())
-                          .set("true_cost", chosen)
-                          .set("regret", chosen - best)
-                          .set("queued_for", t - job.arrival)
-                          .str());
-      if (!machines[m].empty()) {
-        std::vector<std::size_t> group;
-        group.reserve(machines[m].size() + 1);
-        group.push_back(job.type);
-        for (const Running& r : machines[m])
-          group.push_back(trace[r.job].type);
-        std::vector<double> slowdowns(group.size(), 1.0);
-        if (group.size() == 2) {
-          slowdowns[0] = truth.pair_entry(group[0], group[1]);
-          slowdowns[1] = truth.pair_entry(group[1], group[0]);
-        } else {
-          for (std::size_t i = 0; i < group.size(); ++i)
-            slowdowns[i] =
-                truth.slowdown(group[i], harness::others_excluding(group, i));
-        }
-        policy.observe_group(group, slowdowns);
-      }
-      close_lane(m);  // the resident set is about to change
-      machines[m].push_back({jid, job.work});
-      ++running_count;
-      JobOutcome& out = res.outcomes[jid];
-      out.job = job.id;
-      out.type = job.type;
-      out.machine = m;
-      out.arrival = job.arrival;
-      out.start = t;
-      out.work = job.work;
-      res.log.events.push_back({TraceEvent::Kind::Place, t, job.id, job.type,
-                                m, policy.last_cost_delta()});
-      emit_queue_depth();
-    }
-  };
-
-  while (next_arrival < trace.size() || running_count > 0 ||
-         !waiting.empty()) {
-    // Earliest completion under current (constant-between-events) rates;
-    // ties resolve to the lowest machine then slot, deterministically.
-    double t_done = kInf;
-    std::size_t done_m = 0, done_s = 0;
-    for (std::size_t m = 0; m < cfg.machines; ++m)
-      for (std::size_t s = 0; s < machines[m].size(); ++s) {
-        const double eta =
-            t + std::max(0.0, machines[m][s].remaining) * slowdown_of(m, s);
-        if (eta < t_done) {
-          t_done = eta;
-          done_m = m;
-          done_s = s;
-        }
-      }
-    const double t_arr =
-        next_arrival < trace.size() ? trace[next_arrival].arrival : kInf;
-    if (t_done == kInf && t_arr == kInf)
-      throw std::logic_error{"simulate: stuck with waiting jobs"};
-
-    // Completions first on ties: a freed slot should serve a job
-    // arriving at the same instant.
-    const double te = std::min(t_done, t_arr);
-    for (std::size_t m = 0; m < cfg.machines; ++m)
-      for (std::size_t s = 0; s < machines[m].size(); ++s)
-        machines[m][s].remaining -= (te - t) / slowdown_of(m, s);
-    t = te;
-
-    if (t_done <= t_arr) {
-      const std::size_t jid = machines[done_m][done_s].job;
-      close_lane(done_m);  // the resident set is about to change
-      completions_ctr.add();
-      machines[done_m].erase(machines[done_m].begin() +
-                             static_cast<std::ptrdiff_t>(done_s));
-      --running_count;
-      JobOutcome& out = res.outcomes[jid];
-      out.finish = t;
-      res.log.events.push_back({TraceEvent::Kind::Finish, t, trace[jid].id,
-                                out.type, done_m, out.corun_slowdown()});
-    } else {
-      const JobSpec& job = trace[next_arrival];
-      res.log.events.push_back(
-          {TraceEvent::Kind::Arrive, t, job.id, job.type, 0, 0.0});
-      waiting.push_back(next_arrival);
-      ++next_arrival;
-      emit_queue_depth();
-    }
-    drain_waiting();
-  }
-
-  if (!res.outcomes.empty()) {
-    res.billed_decisions = res.outcomes.size();
-    for (const JobOutcome& o : res.outcomes) {
-      res.mean_stretch += o.stretch();
-      res.mean_corun_slowdown += o.corun_slowdown();
-      res.makespan = std::max(res.makespan, o.finish);
-    }
-    res.mean_stretch /= static_cast<double>(res.outcomes.size());
-    res.mean_corun_slowdown /= static_cast<double>(res.outcomes.size());
-    res.mean_decision_regret /= static_cast<double>(res.outcomes.size());
-  }
-  res.pairwise_fallbacks = truth.fallbacks() - fallbacks_before;
-  return res;
-}
-
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 const harness::CorunMatrix& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy) {
-  harness::MatrixTruth additive{truth};
-  return simulate_reference(cfg, additive, trace, policy);
 }
 
 }  // namespace coperf::cluster

@@ -17,35 +17,29 @@
 // deterministic: same trace + same policy state => byte-identical
 // audit log.
 //
-// Two engines share the semantics:
+// The engine, simulate(), is a fleet-scale indexed event loop.
+// Per-machine resident slowdowns and absolute completion ETAs are
+// cached and recomputed only when that machine's resident multiset
+// changes; an indexed binary heap of per-machine next completions (one
+// entry per busy machine, re-keyed in place; deterministic (eta,
+// machine, slot) tie-breaking) replaces a per-event machines x slots
+// rescan, and a candidate index over open machines (alive, not full)
+// feeds the policies' ClusterView. The index files machines by
+// resident multiset and orders single-resident classes by the
+// resident's cached ETA, so a cost-model decision prices O(distinct
+// machine states), not every open machine: one representative per
+// empty or zero-coefficient class, a short monotone walk per other
+// single-resident class, and machines with 2+ residents one by one.
+// Completion arithmetic is drift-free: each resident's remaining work
+// is decremented once per constant-rate interval (clamped at zero),
+// not once per global event. Scales to tens of thousands of machines
+// and millions of arrivals.
 //
-//  * simulate() -- the fleet-scale indexed event loop. Per-machine
-//    resident slowdowns and absolute completion ETAs are cached and
-//    recomputed only when that machine's resident multiset changes; an
-//    indexed binary heap of per-machine next completions (one entry
-//    per busy machine, re-keyed in place; deterministic (eta, machine,
-//    slot) tie-breaking) replaces the per-event machines x slots
-//    rescan, and a candidate index over open machines
-//    (alive, not full) feeds the policies' ClusterView. The index
-//    files machines by resident multiset and orders single-resident
-//    classes by the resident's cached ETA, so a cost-model decision
-//    prices O(distinct machine states), not every open machine: one
-//    representative per empty or zero-coefficient class, a short
-//    monotone walk per other single-resident class, and machines with
-//    2+ residents one by one. Completion arithmetic is drift-free:
-//    each resident's remaining work is decremented once per
-//    constant-rate interval (clamped at zero), not once per global
-//    event. Scales to tens of thousands of machines and millions of
-//    arrivals.
-//  * simulate_reference() -- the original O(machines x slots)-per-event
-//    scan loop, kept verbatim as the executable specification. The
-//    equivalence suite pins simulate() against it: byte-identical
-//    audit logs and matching regret on the shared fixtures. Exact
-//    arithmetic is identical between the engines; floating-point
-//    rounding may differ below the log's fixed precision because the
-//    reference decrements remaining work at every global event.
-//    Priority classes are a fleet-engine feature; the reference loop
-//    rejects traces that use them.
+// The original O(machines x slots)-per-event scan loop lives on as the
+// executable specification in tests/cluster_reference.hpp; the
+// equivalence suites pin simulate() against it (byte-identical audit
+// logs, matching regret) on the fault-free, priority-free, SLO-free
+// subset it specifies.
 #pragma once
 
 #include <cstddef>
@@ -122,8 +116,7 @@ struct ClusterConfig {
   /// Machine failure/recovery schedule (fault_schedule(), or
   /// hand-built: sorted by time, alternating Down/Up per machine).
   /// Empty = no faults; the fault-free path is byte-identical to the
-  /// pre-fault engine. Fleet-engine only: simulate_reference rejects
-  /// configs that inject faults or enable migration/admission.
+  /// pre-fault engine.
   std::vector<FaultEvent> faults;
   RetryConfig retry;
   MigrationConfig migration;
@@ -308,22 +301,5 @@ ClusterResult simulate(const ClusterConfig& cfg,
                        const harness::CorunMatrix& truth,
                        const std::vector<JobSpec>& trace,
                        PlacementPolicy& policy);
-
-/// The pre-fleet event loop, kept as the executable specification for
-/// the equivalence suite: full machines x slots rescan per event,
-/// remaining work decremented at every global event, every MachineView
-/// materialized per waiting job, every decision billed
-/// (regret_sample is ignored). Priority-blind: throws if the trace
-/// uses priority classes. Do not use at fleet scale.
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 harness::InterferenceTruth& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy);
-
-/// Reference loop over additive pairwise composition (MatrixTruth).
-ClusterResult simulate_reference(const ClusterConfig& cfg,
-                                 const harness::CorunMatrix& truth,
-                                 const std::vector<JobSpec>& trace,
-                                 PlacementPolicy& policy);
 
 }  // namespace coperf::cluster

@@ -175,9 +175,10 @@ class GroupTruth final : public InterferenceTruth {
     /// fall back to additive composition of the pairwise projection.
     unsigned max_arity = 3;
     /// Host worker lanes for the fan-out builds (prefetch_all and the
-    /// lazy per-query residues). 0 = hardware concurrency. The results
-    /// are bit-identical at any lane count -- each trial simulates an
-    /// isolated Machine -- so this only trades wall time for cores.
+    /// lazy per-query residues). 0 = one lane per usable CPU. The
+    /// results are bit-identical at any lane count -- each trial
+    /// simulates an isolated Machine -- so this only trades wall time
+    /// for cores.
     unsigned host_threads = 0;
   };
 

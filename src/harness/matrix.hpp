@@ -41,7 +41,7 @@ struct CorunMatrix {
 struct MatrixOptions {
   RunOptions run;
   unsigned reps = 3;           ///< median-of-N (paper: 3 runs per pair)
-  unsigned host_threads = 0;   ///< 0 = hardware_concurrency
+  unsigned host_threads = 0;   ///< 0 = one lane per usable CPU
   /// StaticChunk gives a reproducible index-to-worker partition for
   /// benchmarking (bench/sim_throughput); Dynamic balances load.
   ParallelSchedule schedule = ParallelSchedule::Dynamic;

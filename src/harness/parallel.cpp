@@ -1,5 +1,7 @@
 #include "harness/parallel.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -165,13 +167,23 @@ class WorkerPool {
 
 }  // namespace
 
+unsigned lane_count(unsigned host_threads, std::size_t total) {
+  unsigned n = host_threads;
+  if (n == 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+      n = static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  if (n == 0) n = std::thread::hardware_concurrency();
+  if (n == 0) n = 4;
+  return static_cast<unsigned>(std::min<std::size_t>(n, total));
+}
+
 void parallel_for(std::size_t total, unsigned host_threads,
                   const std::function<void(std::size_t)>& body,
                   ParallelSchedule schedule) {
-  unsigned n = host_threads != 0 ? host_threads
-                                 : std::thread::hardware_concurrency();
-  if (n == 0) n = 4;
-  n = static_cast<unsigned>(std::min<std::size_t>(n, total));
+  const unsigned n = lane_count(host_threads, total);
   // Serial fast path; also taken from inside a pool worker (nested
   // parallel_for must not wait on the pool it is running on).
   if (n <= 1 || tls_inside_pool_worker) {

@@ -25,10 +25,16 @@ enum class ParallelSchedule {
   StaticChunk,
 };
 
-/// Runs body(i) for i in [0, total) on up to `host_threads` workers
-/// (0 = hardware concurrency) from the persistent pool. Blocks until
-/// all complete. The first exception thrown by any worker is rethrown
-/// here; remaining workers stop claiming new indices.
+/// Lanes (the caller included) a fan-out of `total` indices runs on:
+/// `host_threads`, or when 0 the CPUs the calling thread may run on
+/// (sched_getaffinity; else hardware_concurrency; else 4), capped at
+/// `total`.
+unsigned lane_count(unsigned host_threads, std::size_t total);
+
+/// Runs body(i) for i in [0, total) on lane_count(host_threads, total)
+/// lanes: the caller plus workers from the persistent pool. Blocks
+/// until all complete. The first exception thrown by any worker is
+/// rethrown here; remaining workers stop claiming new indices.
 void parallel_for(std::size_t total, unsigned host_threads,
                   const std::function<void(std::size_t)>& body,
                   ParallelSchedule schedule = ParallelSchedule::Dynamic);

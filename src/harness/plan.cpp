@@ -4,7 +4,6 @@
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "harness/runcache.hpp"
 #include "obs/metrics.hpp"
@@ -202,14 +201,10 @@ ResultSet ExperimentPlan::execute(unsigned host_threads, Progress progress,
   }
   // The pool spawns lazily inside parallel_for: sample it afterwards.
   reg.gauge("pool.workers").set(pool_size());
-  // Lane count mirrors parallel_for's participant computation (the
-  // caller is a lane too, so this is NOT pool_size(), which is 0 on
-  // the serial path and may exceed this job's cap after larger runs).
-  unsigned lanes =
-      host_threads != 0 ? host_threads : std::thread::hardware_concurrency();
-  if (lanes == 0) lanes = 4;
-  lanes = static_cast<unsigned>(
-      std::min<std::size_t>(lanes, std::max<std::size_t>(trials_.size(), 1)));
+  // The caller is a lane too, so this is NOT pool_size(), which is 0
+  // on the serial path and may exceed this job's cap after larger runs.
+  const unsigned lanes =
+      lane_count(host_threads, std::max<std::size_t>(trials_.size(), 1));
   reg.gauge("plan.lanes").set(lanes);
   const double plan_wall = obs::wall_us() - plan_t0;
   if (plan_wall > 0.0)

@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
+#include "cluster_reference.hpp"
 #include "harness/matrix.hpp"
 
 namespace coperf::cluster {
@@ -152,6 +153,25 @@ TEST(FaultFree, EngineValidatesFaultSchedules) {
   cfg.faults.clear();
   cfg.retry.checkpoint = 1.5;
   EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  cfg.retry.checkpoint = -0.5;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  cfg.retry = RetryConfig{};
+  cfg.retry.backoff = -1.0;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  cfg.retry = RetryConfig{};
+  cfg.retry.backoff_factor = 0.5;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  cfg.retry = RetryConfig{};
+  cfg.admission.util_limit = -0.1;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  cfg.admission.util_limit = 1.5;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  cfg.admission = AdmissionConfig{};
+  cfg.admission.defer_delay = -1.0;
+  EXPECT_THROW(simulate(cfg, truth, trace, p), std::invalid_argument);
+  // Each input above was the only bad field: the defaults are valid.
+  cfg.admission = AdmissionConfig{};
+  EXPECT_NO_THROW(simulate(cfg, truth, trace, p));
 }
 
 // A policy bug the engine must catch: choosing a failed machine. Its

@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster_fixtures.hpp"
+#include "cluster_reference.hpp"
 #include "harness/grouptruth.hpp"
 #include "harness/matrix.hpp"
 #include "harness/scheduler.hpp"
@@ -154,6 +155,17 @@ TEST(Cluster, SimulateValidatesItsInput) {
   EXPECT_THROW(
       simulate({2, 2}, truth, {{0, 0, 5.0, 1.0}, {1, 0, 1.0, 1.0}}, policy),
       std::invalid_argument);
+  // A truth with no workload types (MatrixTruth refuses to wrap an
+  // empty matrix, so the engine's own check needs a bare truth).
+  struct EmptyTruth final : harness::InterferenceTruth {
+    std::size_t size() const override { return 0; }
+    double slowdown(std::size_t, const std::vector<std::size_t>&) override {
+      return 1.0;
+    }
+    const harness::CorunMatrix& pairwise() override { return matrix; }
+    harness::CorunMatrix matrix;
+  } empty;
+  EXPECT_THROW(simulate({2, 2}, empty, {}, policy), std::invalid_argument);
 }
 
 // (RegimeChangeTruth -- the non-additive group-truth fixture -- lives
@@ -243,12 +255,12 @@ TEST(GroupTruthCluster, GroupTruthOracleAvoidsTheRegimeChange) {
 
   CostModelPolicy additive_oracle{"additive",
                                   RegimeChangeTruth::regime_matrix()};
-  EXPECT_EQ(additive_oracle.place(victim, views), 0u)
+  EXPECT_EQ(additive_oracle.place(victim, VectorClusterView{views}), 0u)
       << "pair entries make the two-hog machine look cheapest";
 
   RegimeChangeTruth truth;
   GroupTruthPolicy group_oracle{"group-oracle", truth};
-  EXPECT_EQ(group_oracle.place(victim, views), 1u)
+  EXPECT_EQ(group_oracle.place(victim, VectorClusterView{views}), 1u)
       << "group truth says the two-hog machine quadruples the victim";
 
   // What the simulator bills each choice at measured group truth: the
@@ -300,7 +312,7 @@ TEST(GroupTruthCluster, OnlineRefinedDeconvolvesGroupOutcomes) {
   // The estimate refreshes lazily at the next placement.
   const JobSpec job{0, 0, 0.0, 1.0};
   const std::vector<MachineView> open = {{2, {}}};
-  (void)online.place(job, open);
+  (void)online.place(job, VectorClusterView{open});
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_NEAR(online.estimate().at(i, j), truth.at(i, j), 1e-2)
@@ -336,13 +348,13 @@ TEST(Placement, PoliciesRejectImpossibleRequests) {
   CostModelPolicy cost{"oracle", truth};
   const JobSpec job{0, 0, 0.0, 1.0};
   const std::vector<MachineView> full = {{0, {{1, 1.0}, {2, 1.0}}}};
-  EXPECT_THROW(random.place(job, full), std::logic_error);
-  EXPECT_THROW(cost.place(job, full), std::logic_error);
+  EXPECT_THROW(random.place(job, VectorClusterView{full}), std::logic_error);
+  EXPECT_THROW(cost.place(job, VectorClusterView{full}), std::logic_error);
   EXPECT_THROW((CostModelPolicy{"empty", harness::CorunMatrix{}}),
                std::invalid_argument);
   const JobSpec alien{0, 9, 0.0, 1.0};
   const std::vector<MachineView> open = {{2, {}}};
-  EXPECT_THROW(cost.place(alien, open), std::out_of_range);
+  EXPECT_THROW(cost.place(alien, VectorClusterView{open}), std::out_of_range);
   OnlineRefinedPolicy online{"online", distilled_model(truth, synthetic_sigs()),
                              synthetic_sigs()};
   EXPECT_THROW(online.observe_pair(9, 0, 1.5), std::out_of_range);

@@ -2,12 +2,14 @@
 // expansion, structural + run-cache dedup, parallel execution with
 // progress, spec-addressable results, and the uniform report layer.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <stdexcept>
 
 #include "harness/plan.hpp"
 #include "harness/report.hpp"
 #include "harness/runcache.hpp"
+#include "obs/metrics.hpp"
 
 namespace coperf::harness {
 namespace {
@@ -176,6 +178,38 @@ TEST(Plan, ProgressCallbackSeesEveryTrial) {
   EXPECT_EQ(calls, 3u);
   EXPECT_EQ(last_done, 3u);
   EXPECT_EQ(reported_total, 3u);
+}
+
+// The default lane count (host_threads = 0) honours CPU affinity: a
+// thread pinned to one CPU executes a multi-trial plan on one lane,
+// however many CPUs the host has.
+TEST(Plan, DefaultLanesFollowCpuAffinity) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &saved)) {
+      CPU_SET(c, &one);
+      break;
+    }
+  const bool metrics_were_on = obs::metrics_enabled();
+  struct Restore {
+    const cpu_set_t& mask;
+    bool metrics;
+    ~Restore() {
+      sched_setaffinity(0, sizeof(mask), &mask);
+      obs::set_metrics_enabled(metrics);
+    }
+  } restore{saved, metrics_were_on};
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  obs::set_metrics_enabled(true);
+
+  ExperimentPlan plan{tiny_opts()};
+  plan.add_solo({"Bandit", 2, 2});
+  plan.add_solo({"swaptions", 2, 1});
+  plan.execute(/*host_threads=*/0);
+  EXPECT_EQ(obs::Registry::instance().gauge("plan.lanes").value(), 1.0);
 }
 
 TEST(Plan, ResultSetThrowsForSpecsOutsideThePlan) {

@@ -134,7 +134,7 @@ TEST_P(QuantumSweep, RuntimeStableAcrossQuanta) {
         << "quantum " << GetParam() << " diverges from the 1000-cycle default";
   } else {
     // Coarser quanta trade accuracy for speed; divergence must stay
-    // bounded (the ablation_sim bench quantifies this trade-off).
+    // bounded.
     EXPECT_LT(got / base, 3.0);
     EXPECT_GT(got / base, 0.5);
   }
