@@ -11,10 +11,6 @@
 //   --subset=A,B  restrict matrix-style benches to named workloads
 //   --size=S      explicit input size (tiny|small|native), overrides
 //                 the --quick/--native default
-//   --slo=X       p99-slowdown budget for latency-critical jobs (> 1;
-//                 benches with no SLO notion ignore it)
-//   --victim=W    serving workload used as the latency-critical victim
-//                 in SLO benches (default bench-specific)
 //   --trace=FILE  record a Chrome trace of the run (Perfetto-loadable);
 //                 written at exit
 //   --metrics[=FILE]  print the obs metrics snapshot at exit (stdout,
@@ -60,13 +56,6 @@ struct BenchArgs {
   /// --metrics[=FILE]: dump the metrics snapshot at exit.
   bool metrics = false;
   std::string metrics_path;  ///< empty = stdout
-  /// --slo=X: p99-slowdown budget for latency-critical jobs (0 =
-  /// bench default; must be > 1 when given -- a budget of 1.0 or less
-  /// is unsatisfiable under any interference).
-  double slo = 0.0;
-  /// --victim=W: serving workload to use as the latency-critical
-  /// victim (empty = bench default).
-  std::string victim;
 
   sim::MachineConfig machine() const {
     return native ? sim::MachineConfig::paper() : sim::MachineConfig::scaled();
@@ -265,14 +254,6 @@ inline BenchArgs parse_args(int argc, char** argv,
       }
     } else if (arg.rfind("--size=", 0) == 0) {
       a.size_override = parse_size(arg.substr(7));
-    } else if (arg.rfind("--slo=", 0) == 0) {
-      a.slo = parse_decimal_above("--slo", arg.substr(6), 1.0);
-    } else if (arg.rfind("--victim=", 0) == 0) {
-      a.victim = arg.substr(9);
-      if (a.victim.empty()) {
-        std::cerr << "--victim= needs a workload name\n";
-        std::exit(2);
-      }
     } else if (arg.rfind("--trace=", 0) == 0) {
       a.trace_path = arg.substr(8);
       if (a.trace_path.empty()) {
@@ -292,7 +273,7 @@ inline BenchArgs parse_args(int argc, char** argv,
       detail::arm_obs_flush();
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "flags: --quick --native --csv --json --reps=N --threads=N"
-                   " --size=tiny|small|native --slo=X --victim=W"
+                   " --size=tiny|small|native"
                    " --trace=FILE --metrics[=FILE]"
                 << (subset_supported ? " --subset=A,B,..." : "")
                 << (extra_help.empty() ? "" : " " + extra_help) << "\n";

@@ -119,16 +119,6 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
     down[f.machine] = is_down ? 1 : 0;
     prev_fault = f.time;
   }
-  if (cfg.retry.backoff < 0.0 || cfg.retry.backoff_factor < 1.0)
-    throw std::invalid_argument{
-        "simulate: retry backoff must be >= 0 with factor >= 1"};
-  if (cfg.retry.checkpoint < 0.0 || cfg.retry.checkpoint > 1.0)
-    throw std::invalid_argument{"simulate: retry checkpoint must be in [0, 1]"};
-  if (cfg.admission.util_limit < 0.0 || cfg.admission.util_limit > 1.0)
-    throw std::invalid_argument{
-        "simulate: admission util_limit must be in [0, 1]"};
-  if (cfg.admission.defer_delay < 0.0)
-    throw std::invalid_argument{"simulate: admission defer_delay must be >= 0"};
 }
 
 // --- indexed fleet engine -------------------------------------------
@@ -271,9 +261,8 @@ class VictimIndex {
 constexpr double kEtaGuard = 1e-9;
 
 /// The policies' window into the engine. Views materialize lazily and
-/// are cached per event stamp; kth_open serves the ascending scans the
-/// policies and the regret billing do in O(1) amortized per step, and
-/// any other k by select().
+/// are cached per event stamp; kth_open serves the policies' ascending
+/// scans in O(1) amortized per step, and any other k by select().
 class EngineView final : public ClusterView {
  public:
   EngineView(const std::vector<MachineState>& ms, const CandidateIndex& idx,
@@ -456,13 +445,12 @@ class CompletionHeap {
   std::vector<std::size_t> pos_;  ///< heap_ index per machine
 };
 
-/// A killed or deferred job waiting out its simulated-time delay before
-/// re-entering the waiting lanes. Min-heap by (ready, jid) so
-/// same-instant requeues drain in trace order.
+/// A killed job waiting out its backoff before re-entering the waiting
+/// lanes. Min-heap by (ready, jid) so same-instant requeues drain in
+/// trace order.
 struct Requeue {
   double ready = 0.0;
   std::size_t jid = 0;
-  bool deferred = false;  ///< re-check admission control on re-entry
 };
 struct RequeueLater {
   bool operator()(const Requeue& a, const Requeue& b) const {
@@ -485,7 +473,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
   CandidateIndex index(cfg.machines, truth.size());
   for (std::size_t m = 0; m < cfg.machines; ++m)
     index.refile(m, /*open=*/true, machines[m].residents);
-  std::size_t alive_machines = cfg.machines;
 
   unsigned max_priority = 0;
   for (const JobSpec& j : trace) max_priority = std::max(max_priority, j.priority);
@@ -504,9 +491,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
       any_lc = true;
       ++res.lc_jobs;
     }
-  // Solo work a job still owes at its next placement: its full demand
-  // until a failure kill or eviction applies the work-loss model.
-  std::vector<double> pending(trace.size(), 0.0);
   std::vector<char> placed(trace.size(), 0);  // first placement recorded
   std::vector<double> class_regret(max_priority + 1, 0.0);
   std::vector<std::size_t> class_billed(max_priority + 1, 0);
@@ -630,84 +614,44 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   // --- graceful-degradation helpers (inert on a fault-free run) -------
 
-  // Admission-control overload predicate: queue depth at the limit, or
-  // busy share of the *alive* slot pool at the utilization limit. An
-  // all-down fleet counts as overloaded.
-  const auto overloaded = [&] {
-    const AdmissionConfig& adm = cfg.admission;
-    if (adm.queue_limit > 0 && waiting_count >= adm.queue_limit) return true;
-    if (adm.util_limit > 0.0) {
-      const double cap =
-          static_cast<double>(alive_machines * cfg.slots);
-      if (cap <= 0.0) return true;
-      if (static_cast<double>(running_count) >= adm.util_limit * cap)
-        return true;
-    }
-    return false;
-  };
-
-  // Drops a job for good: its outstanding solo work is the admission
-  // delta of never running it, billed into shed_work / class stats.
+  // Drops a job for good: its solo work is the admission delta of never
+  // running it, billed into shed_work / class stats.
   const auto shed_job = [&](std::size_t jid) {
-    JobOutcome& out = res.outcomes[jid];
-    out.shed = true;
+    res.outcomes[jid].shed = true;
     ++res.shed_jobs;
-    res.shed_work += pending[jid];
+    res.shed_work += trace[jid].work;
     shed_ctr.add();
     res.log.events.push_back({TraceEvent::Kind::Shed, t, trace[jid].id,
-                              trace[jid].type, 0, pending[jid]});
+                              trace[jid].type, 0, trace[jid].work});
   };
 
-  // Queues a job into its priority lane, re-checking admission control
-  // when asked (fresh arrivals and deferred re-entries; failure retries
-  // were already admitted and skip the check).
-  const auto admit = [&](std::size_t jid, bool check_admission) {
-    const JobSpec& job = trace[jid];
-    JobOutcome& out = res.outcomes[jid];
-    if (check_admission && cfg.admission.enabled() &&
-        job.priority < cfg.admission.shed_below && overloaded()) {
-      if (cfg.admission.defer_delay > 0.0 &&
-          out.defers < cfg.admission.max_defers) {
-        ++out.defers;
-        const double until = t + cfg.admission.defer_delay;
-        res.log.events.push_back(
-            {TraceEvent::Kind::Defer, t, job.id, job.type, 0, until});
-        requeue.push({until, jid, /*deferred=*/true});
-      } else {
-        shed_job(jid);
-      }
-      return;
-    }
-    waiting[job.priority].push_back(jid);
+  // Queues a job at the back of its priority lane: an admitted arrival,
+  // a killed job once its backoff ends, or a migration victim at once.
+  const auto enqueue = [&](std::size_t jid) {
+    waiting[trace[jid].priority].push_back(jid);
     ++waiting_count;
     emit_queue_depth();
   };
 
-  // Applies the work-loss model to a resident killed at time `t` with
-  // `remaining` solo work left in its current attempt (materialized),
-  // then requeues it with exponential backoff -- or sheds it once its
-  // retry budget is spent.
-  const auto kill_resident = [&](std::size_t jid, double remaining,
-                                 std::size_t m) {
-    const double executed = pending[jid] - remaining;
-    pending[jid] =
-        std::max(0.0, pending[jid] - cfg.retry.checkpoint * executed);
+  // A resident killed by a machine failure at time `t` restarts from
+  // zero after an exponential backoff -- or is shed once its retry
+  // budget is spent.
+  const auto kill_resident = [&](std::size_t jid, std::size_t m) {
     JobOutcome& out = res.outcomes[jid];
     ++res.fault_kills;
     fault_kills_ctr.add();
-    if (out.retries >= cfg.retry.max_retries) {
+    if (out.retries >= kMaxRetries) {
       shed_job(jid);
       return;
     }
     ++out.retries;
     retries_ctr.add();
     const double delay =
-        cfg.retry.backoff *
-        std::pow(cfg.retry.backoff_factor,
-                 static_cast<double>(out.retries - 1));
+        kRetryBackoff *
+        std::pow(kRetryBackoffFactor, static_cast<double>(out.retries - 1));
     res.log.events.push_back({TraceEvent::Kind::Evict, t, trace[jid].id,
-                              trace[jid].type, m, pending[jid]});
-    requeue.push({t + delay, jid, /*deferred=*/false});
+                              trace[jid].type, m, trace[jid].work});
+    requeue.push({t + delay, jid});
   };
 
   const auto drain_waiting = [&] {
@@ -716,11 +660,11 @@ ClusterResult simulate(const ClusterConfig& cfg,
         // Preemptive migration: let the highest waiting class claim a
         // slot from a strictly lower-priority resident (lowest class
         // first; ties to the lowest machine then slot), found through
-        // the victim index in one lookup per class. The victim pays
-        // the work-loss restart penalty and requeues immediately at
-        // the back of its own lane -- no backoff, it did nothing
-        // wrong. Progress is guaranteed: every eviction is followed by
-        // a strictly higher-priority placement.
+        // the victim index in one lookup per class. The victim
+        // restarts from zero and requeues immediately at the back of
+        // its own lane -- no backoff, it did nothing wrong. Progress
+        // is guaranteed: every eviction is followed by a strictly
+        // higher-priority placement.
         if (!cfg.migration.preempt) break;
         std::size_t top = 0;
         for (std::size_t c = waiting.size(); c-- > 0;) {
@@ -743,10 +687,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
         const std::size_t vjid = victim->job;
         close_lane(vm);  // the resident set is about to change
         materialize(vms);
-        const double vleft = victim->remaining;
-        const double vexecuted = pending[vjid] - vleft;
-        pending[vjid] = std::max(
-            0.0, pending[vjid] - cfg.retry.checkpoint * vexecuted);
         vms.residents.erase(victim);
         reindex(vm);
         --running_count;
@@ -755,7 +695,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
         migrations_ctr.add();
         ++res.outcomes[vjid].evictions;
         res.log.events.push_back({TraceEvent::Kind::Evict, t, trace[vjid].id,
-                                  trace[vjid].type, vm, pending[vjid]});
+                                  trace[vjid].type, vm, trace[vjid].work});
         if (traced)
           tr.instant_at(trace_pid, static_cast<int>(vm),
                         "evict " + type_label(trace[vjid].type),
@@ -763,11 +703,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
                         obs::Args{}
                             .set("job", trace[vjid].id)
                             .set("for_class", top)
-                            .set("work_left", pending[vjid])
+                            .set("work_left", trace[vjid].work)
                             .str());
-        waiting[vprio].push_back(vjid);
-        ++waiting_count;
-        emit_queue_depth();
+        enqueue(vjid);
         continue;
       }
       std::size_t jid = 0;
@@ -779,10 +717,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
           break;
         }
       }
-      // The job demands only its outstanding work: identical to the
-      // original spec until a kill or eviction shrinks it.
-      JobSpec job = trace[jid];
-      job.work = pending[jid];
+      const JobSpec& job = trace[jid];
       const std::size_t m = policy.place(job, cview);
       if (m >= cfg.machines || !index.open().contains(m))
         throw std::logic_error{"simulate: policy chose a full or down machine"};
@@ -922,17 +857,14 @@ ClusterResult simulate(const ClusterConfig& cfg,
       if (f.kind == FaultEvent::Kind::Down) {
         MachineState& ms = machines[f.machine];
         close_lane(f.machine);  // the resident set is about to change
-        materialize(ms);
         ++res.failures;
         failures_ctr.add();
         res.log.events.push_back(
             {TraceEvent::Kind::Fail, t, 0, 0, f.machine, 0.0});
-        for (const Resident& r : ms.residents)
-          kill_resident(r.job, r.remaining, f.machine);
+        for (const Resident& r : ms.residents) kill_resident(r.job, f.machine);
         running_count -= ms.residents.size();
         ms.residents.clear();
         alive[f.machine] = 0;
-        --alive_machines;
         reindex(f.machine);  // empty: leaves the heap and the index
         if (traced) down_since[f.machine] = t;
       } else {
@@ -941,7 +873,6 @@ ClusterResult simulate(const ClusterConfig& cfg,
         res.log.events.push_back(
             {TraceEvent::Kind::Recover, t, 0, 0, f.machine, 0.0});
         alive[f.machine] = 1;
-        ++alive_machines;
         reindex(f.machine);  // empty: rejoins the index
         if (traced) {
           tr.complete(trace_pid, static_cast<int>(f.machine), "DOWN",
@@ -956,7 +887,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
       requeue.pop();
       t = rq.ready;
       ++stamp;
-      admit(rq.jid, /*check_admission=*/rq.deferred);
+      enqueue(rq.jid);
     } else {
       const JobSpec& job = trace[next_arrival];
       t = t_arr;
@@ -968,8 +899,11 @@ ClusterResult simulate(const ClusterConfig& cfg,
       out.type = job.type;
       out.arrival = job.arrival;
       out.work = job.work;
-      pending[next_arrival] = job.work;
-      admit(next_arrival, /*check_admission=*/true);
+      if (cfg.admission.enabled() && job.priority < cfg.admission.shed_below &&
+          waiting_count >= cfg.admission.queue_limit)
+        shed_job(next_arrival);
+      else
+        enqueue(next_arrival);
       ++next_arrival;
     }
     drain_waiting();

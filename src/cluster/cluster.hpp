@@ -54,49 +54,34 @@
 
 namespace coperf::cluster {
 
-/// What happens to a job killed by a machine failure: bounded retries
-/// with exponential backoff in simulated time, and a configurable
-/// work-loss model.
-struct RetryConfig {
-  /// Failure kills a job may survive before the engine gives up and
-  /// sheds it (a Shed event with its work still outstanding).
-  unsigned max_retries = 3;
-  /// Simulated-time delay before the first requeue; doubles (times
-  /// `backoff_factor`) per consecutive kill of the same job.
-  double backoff = 1.0;
-  double backoff_factor = 2.0;
-  /// Work-loss model: the fraction of the killed attempt's executed
-  /// work that survives the kill. 0 = restart-from-zero (the whole
-  /// attempt is lost), 1 = perfect checkpointing (only in-flight time
-  /// is lost). Applies to failure kills and migration evictions alike.
-  double checkpoint = 0.0;
-};
+/// What happens to a job killed by a machine failure: it restarts from
+/// zero (the killed attempt's work is lost) after a backoff in
+/// simulated time of kRetryBackoff, times kRetryBackoffFactor per
+/// earlier kill of the same job. The kill after kMaxRetries retries
+/// sheds it instead (a Shed event with its work still outstanding).
+inline constexpr unsigned kMaxRetries = 3;
+inline constexpr double kRetryBackoff = 1.0;
+inline constexpr double kRetryBackoffFactor = 2.0;
 
 /// Policy-driven preemptive migration: when the highest waiting class
 /// would otherwise queue with no slot free, evict a strictly
-/// lower-priority resident (lowest class first -- the PR 7 priority
-/// lanes' victim ordering -- ties to the lowest machine then slot),
-/// charge it the RetryConfig work-loss model as the restart penalty,
-/// and requeue it through the normal decision path.
+/// lower-priority resident (lowest class first, ties to the lowest
+/// machine then slot) and requeue it through the normal decision path.
+/// The victim restarts from zero.
 struct MigrationConfig {
   bool preempt = false;
 };
 
-/// Admission control under overload: when the waiting queue is deeper
-/// than `queue_limit` (or alive-slot utilization is at least
-/// `util_limit`), arrivals of classes below `shed_below` are shed
-/// outright -- or deferred by `defer_delay` first, up to `max_defers`
-/// times, when deferral is enabled. Shed work is billed into
-/// ClusterResult::shed_work and the per-class stats (a shed job's
-/// admission delta is the solo work it would have consumed).
+/// Admission control under overload: while at least `queue_limit` jobs
+/// wait, arrivals of classes below `shed_below` are shed outright.
+/// Shed work is billed into ClusterResult::shed_work and the per-class
+/// stats (a shed job's admission delta is the solo work it would have
+/// consumed).
 struct AdmissionConfig {
-  std::size_t queue_limit = 0;  ///< 0 = no queue-depth threshold
-  double util_limit = 0.0;      ///< busy/alive slot fraction; 0 = off
+  std::size_t queue_limit = 0;  ///< 0 = admission control off
   unsigned shed_below = 1;      ///< classes < this are sheddable
-  double defer_delay = 0.0;     ///< > 0: defer before shedding
-  unsigned max_defers = 0;      ///< defers before an overloaded shed
 
-  bool enabled() const { return queue_limit > 0 || util_limit > 0.0; }
+  bool enabled() const { return queue_limit > 0; }
 };
 
 struct ClusterConfig {
@@ -118,7 +103,6 @@ struct ClusterConfig {
   /// Empty = no faults; the fault-free path is byte-identical to the
   /// pre-fault engine.
   std::vector<FaultEvent> faults;
-  RetryConfig retry;
   MigrationConfig migration;
   AdmissionConfig admission;
 };
@@ -134,7 +118,6 @@ struct JobOutcome {
   double work = 0.0;    ///< the original solo-work demand
   unsigned retries = 0;    ///< times killed by a machine failure
   unsigned evictions = 0;  ///< times preemptively migrated
-  unsigned defers = 0;     ///< times deferred by admission control
   bool shed = false;       ///< dropped (admission, or retries exhausted)
 
   bool completed() const { return finish > 0.0; }
@@ -265,16 +248,17 @@ class MachineSet {
 ///
 /// Fault injection and graceful degradation (all off by default, and
 /// byte-identical to the fault-free engine when off): a FaultEvent
-/// schedule takes machines down (killing residents, which requeue
-/// through RetryConfig's bounded exponential backoff and work-loss
-/// model) and brings them back; MigrationConfig lets a waiting
-/// high-priority job preempt a strictly lower-priority resident; and
-/// AdmissionConfig sheds or defers best-effort arrivals under
-/// overload. Every such action is audited (Fail/Recover/Evict/Shed/
-/// Defer events), so fault runs replay byte-identically from the same
-/// seed. Completions beat same-instant failures (a job finishing as
-/// its machine dies finished); recoveries and requeues beat
-/// same-instant arrivals. Each placement reports
+/// schedule takes machines down (killing residents, which restart from
+/// zero after the bounded exponential backoff of kMaxRetries /
+/// kRetryBackoff / kRetryBackoffFactor) and brings them back;
+/// MigrationConfig lets a waiting high-priority job preempt a strictly
+/// lower-priority resident, which also restarts from zero; and
+/// AdmissionConfig sheds best-effort arrivals under overload. Every
+/// such action is audited (Fail/Recover/Evict/Shed events), so fault
+/// runs replay byte-identically from the same seed. Completions beat
+/// same-instant failures (a job finishing as its machine dies
+/// finished); recoveries and requeues beat same-instant arrivals.
+/// Each placement reports
 /// the full new group outcome (per-member true slowdowns) to the
 /// policy via observe_group(); for 2-resident groups that decomposes
 /// into the legacy observe_pair() feedback.

@@ -206,7 +206,6 @@ std::size_t SloAwarePolicy::place(const JobSpec& job,
   if (best == cluster.machines())
     throw std::logic_error{name_ + "::place: no machine has a free slot"};
   last_delta_ = best_delta;
-  last_violation_ = best_viol;
   if (best_viol > 0.0) ++forced_;
   return best;
 }

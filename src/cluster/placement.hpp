@@ -252,9 +252,6 @@ class SloAwarePolicy final : public PlacementPolicy {
   std::size_t place(const JobSpec& job, const ClusterView& cluster) override;
   double last_cost_delta() const override { return last_delta_; }
 
-  /// Predicted SLO violation of the last place() decision (0 when the
-  /// chosen machine was admissible).
-  double last_violation() const { return last_violation_; }
   /// Decisions where every open machine blew some LC budget.
   std::size_t forced_violations() const { return forced_; }
 
@@ -263,7 +260,6 @@ class SloAwarePolicy final : public PlacementPolicy {
   harness::CorunMatrix tail_;
   std::string name_;
   double last_delta_ = 0.0;
-  double last_violation_ = 0.0;
   std::size_t forced_ = 0;
 };
 

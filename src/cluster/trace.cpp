@@ -46,21 +46,6 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
   if (opt.mean_interarrival <= 0.0 || opt.mean_work <= 0.0)
     throw std::invalid_argument{
         "fleet_trace: interarrival/work means must be positive"};
-  if (opt.diurnal_amplitude < 0.0 || opt.diurnal_amplitude >= 1.0)
-    throw std::invalid_argument{
-        "fleet_trace: diurnal_amplitude must be in [0, 1)"};
-  if (opt.diurnal_period <= 0.0)
-    throw std::invalid_argument{"fleet_trace: diurnal_period must be positive"};
-  if (opt.burst_boost < 1.0 || opt.burst_on <= 0.0 || opt.burst_on >= 1.0 ||
-      opt.burst_mean_len < 1.0)
-    throw std::invalid_argument{
-        "fleet_trace: need burst_boost >= 1, burst_on in (0, 1), "
-        "burst_mean_len >= 1"};
-  if (opt.pareto_alpha <= 1.0)
-    throw std::invalid_argument{
-        "fleet_trace: pareto_alpha must be > 1 (finite mean)"};
-  if (opt.work_cap <= 1.0)
-    throw std::invalid_argument{"fleet_trace: work_cap must be > 1"};
   if (opt.class_shares.size() > kMaxPriority + 1)
     throw std::invalid_argument{"fleet_trace: too many priority classes"};
   double share_sum = 0.0;
@@ -74,13 +59,12 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
   util::SplitMix64 rng{opt.seed};
   // Pareto scaled to unit mean: multiplier = xm / (1-u)^(1/alpha) with
   // xm = (alpha-1)/alpha, so E[multiplier] = 1 before the cap.
-  const double xm = (opt.pareto_alpha - 1.0) / opt.pareto_alpha;
+  const double xm = (kParetoAlpha - 1.0) / kParetoAlpha;
   const double base_rate = 1.0 / opt.mean_interarrival;
   // Burst state flips per arrival: exit with probability 1/mean_len,
-  // enter so the long-run arrival fraction inside bursts is burst_on.
-  const double p_exit = 1.0 / opt.burst_mean_len;
-  const double p_enter =
-      opt.burst_on / (1.0 - opt.burst_on) / opt.burst_mean_len;
+  // enter so the long-run arrival fraction inside bursts is kBurstOn.
+  const double p_exit = 1.0 / kBurstMeanLen;
+  const double p_enter = kBurstOn / (1.0 - kBurstOn) / kBurstMeanLen;
 
   std::vector<JobSpec> trace;
   trace.reserve(opt.jobs);
@@ -96,12 +80,11 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
       case ArrivalModel::Poisson:
         break;
       case ArrivalModel::Diurnal:
-        rate *= 1.0 + opt.diurnal_amplitude *
-                          std::sin(kTwoPi * t / opt.diurnal_period);
+        rate *= 1.0 + kDiurnalAmplitude * std::sin(kTwoPi * t / kDiurnalPeriod);
         break;
       case ArrivalModel::Bursty:
         if (bursting) {
-          rate *= opt.burst_boost;
+          rate *= kBurstBoost;
           if (rng.uniform() < p_exit) bursting = false;
         } else if (rng.uniform() < p_enter) {
           bursting = true;
@@ -120,9 +103,8 @@ std::vector<JobSpec> fleet_trace(std::size_t n_types,
         break;
       case WorkModel::Pareto:
         j.work = opt.mean_work *
-                 std::min(opt.work_cap,
-                          xm / std::pow(1.0 - rng.uniform(),
-                                        1.0 / opt.pareto_alpha));
+                 std::min(kWorkCap, xm / std::pow(1.0 - rng.uniform(),
+                                                  1.0 / kParetoAlpha));
         break;
     }
     if (!opt.class_shares.empty()) {
@@ -213,10 +195,6 @@ void TraceLog::write(std::ostream& os,
       case TraceEvent::Kind::Shed:
         os << " shed job=" << e.job << " type=" << name
            << " work_left=" << fmt6(e.value);
-        break;
-      case TraceEvent::Kind::Defer:
-        os << " defer job=" << e.job << " type=" << name
-           << " until=" << fmt6(e.value);
         break;
     }
     os << '\n';

@@ -62,39 +62,40 @@ std::vector<JobSpec> synthetic_trace(std::size_t n_types,
 /// Arrival-process shapes for fleet_trace().
 enum class ArrivalModel {
   Poisson,  ///< constant-rate exponential interarrivals
-  /// Rate modulated sinusoidally: rate(t) = base * (1 + amplitude *
-  /// sin(2*pi*t / period)) -- the day/night load swing.
+  /// Rate modulated sinusoidally: rate(t) = base * (1 + kDiurnalAmplitude
+  /// * sin(2*pi*t / kDiurnalPeriod)) -- the day/night load swing.
   Diurnal,
   /// Two-state modulated Poisson: a burst state multiplies the rate by
-  /// burst_boost; state flips per arrival with probabilities derived
-  /// from burst_on / burst_mean_len. Models incast/retry storms.
+  /// kBurstBoost; state flips per arrival with probabilities derived
+  /// from kBurstOn / kBurstMeanLen. Models incast/retry storms.
   Bursty,
 };
 
 /// Work-demand shapes for fleet_trace().
 enum class WorkModel {
   Uniform,  ///< uniform in [0.5, 1.5] x mean_work (synthetic_trace's law)
-  /// Pareto(alpha) scaled to unit mean, capped at work_cap x -- the
-  /// heavy tail real cluster traces show (most jobs short, a few huge).
+  /// Pareto(kParetoAlpha) scaled to unit mean, capped at kWorkCap x --
+  /// the heavy tail real cluster traces show (most jobs short, a few
+  /// huge).
   Pareto,
 };
+
+/// The fixed shapes of fleet_trace()'s arrival and work models.
+inline constexpr double kDiurnalPeriod = 1024.0;   ///< time units per "day"
+inline constexpr double kDiurnalAmplitude = 0.75;  ///< peak-to-mean swing
+inline constexpr double kBurstBoost = 8.0;     ///< rate multiplier in a burst
+inline constexpr double kBurstOn = 0.1;        ///< share of bursty arrivals
+inline constexpr double kBurstMeanLen = 50.0;  ///< mean arrivals per burst
+inline constexpr double kParetoAlpha = 1.8;    ///< tail index, > 1: finite mean
+inline constexpr double kWorkCap = 256.0;      ///< cap on the Pareto multiplier
 
 struct FleetTraceOptions {
   std::size_t jobs = 100'000;
   std::uint64_t seed = 1;
   double mean_interarrival = 1.0;  ///< base (long-run) interarrival mean
-
   ArrivalModel arrivals = ArrivalModel::Poisson;
-  double diurnal_period = 1024.0;   ///< simulated time units per "day"
-  double diurnal_amplitude = 0.75;  ///< in [0, 1): peak-to-mean swing
-  double burst_boost = 8.0;         ///< rate multiplier inside a burst
-  double burst_on = 0.1;            ///< long-run fraction of bursty arrivals
-  double burst_mean_len = 50.0;     ///< mean arrivals per burst episode
-
   WorkModel work = WorkModel::Uniform;
   double mean_work = 8.0;
-  double pareto_alpha = 1.8;  ///< tail index, > 1 so the mean exists
-  double work_cap = 256.0;    ///< cap on the Pareto multiplier
 
   /// Priority-class mix: share per class, class index == priority
   /// (normalized internally; at most kMaxPriority + 1 classes). Empty
@@ -141,7 +142,7 @@ std::vector<FaultEvent> fault_schedule(std::size_t machines,
 
 /// One line of the simulator's audit log.
 struct TraceEvent {
-  enum class Kind { Arrive, Place, Finish, Fail, Recover, Evict, Shed, Defer };
+  enum class Kind { Arrive, Place, Finish, Fail, Recover, Evict, Shed };
   Kind kind = Kind::Arrive;
   double time = 0.0;
   std::size_t job = 0;  ///< JobSpec::id -- the same identity in all kinds
@@ -149,8 +150,7 @@ struct TraceEvent {
   std::size_t machine = 0;  ///< Place/Finish/Fail/Recover/Evict only
   /// Place: the policy's predicted cost delta for the chosen machine;
   /// Finish: the slowdown the job actually experienced;
-  /// Evict/Shed: the solo work the job still needed;
-  /// Defer: the time the job re-enters the waiting queue.
+  /// Evict/Shed: the solo work the job still needed.
   double value = 0.0;
 };
 

@@ -83,11 +83,9 @@ class Session {
 
   /// Base RunOptions used by all calls (seed, sampling, machine, size).
   harness::RunOptions options() const { return base_; }
-  void set_seed(std::uint64_t seed) { base_.seed = seed; }
   void set_sample_window(sim::Cycle w) { base_.sample_window = w; }
 
   const sim::MachineConfig& machine() const { return base_.machine; }
-  wl::SizeClass size_class() const { return base_.size; }
 
   /// Process-wide metrics registry (counters/gauges/histograms kept by
   /// the harness, truth oracles, and cluster simulator). Enabled by

@@ -35,18 +35,4 @@ CorunMatrix corun_matrix(const MatrixOptions& opt) {
   return plan.execute(opt.host_threads, {}, opt.schedule).matrix(spec);
 }
 
-std::vector<double> corun_row(std::string_view fg,
-                              const std::vector<std::string>& bgs,
-                              const RunOptions& opt, unsigned reps) {
-  const sim::Cycle solo = run_solo_median(fg, opt, reps).cycles;
-  std::vector<double> out;
-  out.reserve(bgs.size());
-  for (const auto& bg : bgs) {
-    const CorunResult r = run_pair_median(fg, bg, opt, reps);
-    out.push_back(static_cast<double>(r.fg.cycles) /
-                  static_cast<double>(solo));
-  }
-  return out;
-}
-
 }  // namespace coperf::harness

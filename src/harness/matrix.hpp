@@ -59,10 +59,4 @@ struct MatrixOptions {
 /// is the paper's 625-pair experiment.
 CorunMatrix corun_matrix(const MatrixOptions& opt = {});
 
-/// Single-row helper: one foreground against a list of backgrounds
-/// (used by the Fig. 6 mini-benchmark experiment).
-std::vector<double> corun_row(std::string_view fg,
-                              const std::vector<std::string>& bgs,
-                              const RunOptions& opt, unsigned reps = 3);
-
 }  // namespace coperf::harness

@@ -12,34 +12,4 @@ PrefetchSensitivity prefetch_sensitivity(std::string_view workload,
   return plan.execute().prefetch(spec);
 }
 
-PrefetchAblation prefetch_ablation(std::string_view workload,
-                                   const RunOptions& opt) {
-  auto run_with = [&](sim::PrefetchMask mask) {
-    RunOptions o = opt;
-    o.machine.prefetch = mask;
-    return static_cast<double>(run_solo(workload, o).cycles);
-  };
-
-  const double on = run_with(sim::PrefetchMask::all_on());
-  auto ratio = [&](sim::PrefetchMask mask) { return on / run_with(mask); };
-
-  PrefetchAblation a;
-  a.workload = std::string{workload};
-  a.all_on = 1.0;
-  sim::PrefetchMask m = sim::PrefetchMask::all_on();
-  m.l2_stream = false;
-  a.no_l2_stream = ratio(m);
-  m = sim::PrefetchMask::all_on();
-  m.l2_adjacent = false;
-  a.no_l2_adjacent = ratio(m);
-  m = sim::PrefetchMask::all_on();
-  m.l1_next_line = false;
-  a.no_l1_next = ratio(m);
-  m = sim::PrefetchMask::all_on();
-  m.l1_ip_stride = false;
-  a.no_l1_ip = ratio(m);
-  a.all_off = ratio(sim::PrefetchMask::all_off());
-  return a;
-}
-
 }  // namespace coperf::harness

@@ -24,19 +24,4 @@ struct PrefetchSensitivity {
 PrefetchSensitivity prefetch_sensitivity(std::string_view workload,
                                          const RunOptions& opt = {});
 
-/// Per-prefetcher ablation: toggles each of the four prefetchers off
-/// individually (extension beyond the paper's all-on/all-off sweep).
-struct PrefetchAblation {
-  std::string workload;
-  double all_on = 1.0;  ///< reference
-  double no_l2_stream = 1.0;
-  double no_l2_adjacent = 1.0;
-  double no_l1_next = 1.0;
-  double no_l1_ip = 1.0;
-  double all_off = 1.0;
-};
-
-PrefetchAblation prefetch_ablation(std::string_view workload,
-                                   const RunOptions& opt = {});
-
 }  // namespace coperf::harness

@@ -73,12 +73,6 @@ class RunCache {
   /// Canonical key string. Two (spec, options) pairs produce the same
   /// key iff every simulation-relevant field matches.
   static std::string group_key(const GroupSpec& spec, const RunOptions& opt);
-  /// Convenience keys for the 1- and 2-member special cases (thread
-  /// counts come from opt.threads / opt.bg_threads like the runners).
-  static std::string solo_key(std::string_view workload,
-                              const RunOptions& opt);
-  static std::string pair_key(std::string_view fg, std::string_view bg,
-                              const RunOptions& opt);
   /// Fingerprint of every MachineConfig field that affects simulation.
   static std::string machine_fingerprint(const sim::MachineConfig& m);
 

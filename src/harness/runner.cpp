@@ -26,12 +26,4 @@ RunResult run_solo_median(std::string_view workload, const RunOptions& opt,
       .members[0];
 }
 
-CorunResult run_pair_median(std::string_view fg, std::string_view bg,
-                            const RunOptions& opt, unsigned reps) {
-  return to_corun(
-      run_group_median(GroupSpec::pair(std::string{fg}, std::string{bg},
-                                       opt.threads, opt.bg_threads),
-                       opt, reps));
-}
-
 }  // namespace coperf::harness

@@ -78,7 +78,5 @@ CorunResult run_pair(std::string_view fg, std::string_view bg,
 /// with seeds seed+0..n-1 and returns the run with median fg cycles.
 RunResult run_solo_median(std::string_view workload, const RunOptions& opt = {},
                           unsigned reps = 3);
-CorunResult run_pair_median(std::string_view fg, std::string_view bg,
-                            const RunOptions& opt = {}, unsigned reps = 3);
 
 }  // namespace coperf::harness

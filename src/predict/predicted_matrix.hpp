@@ -20,12 +20,6 @@ namespace coperf::predict {
 harness::CorunMatrix predicted_matrix(const std::vector<WorkloadSignature>& sigs,
                                       const InterferenceModel& model);
 
-/// Convenience end-to-end path: N solo runs -> signatures -> predicted
-/// matrix, never invoking run_pair.
-harness::CorunMatrix predict_from_solo_runs(
-    const std::vector<std::string>& workloads, const harness::RunOptions& opt,
-    const InterferenceModel& model, unsigned reps = 3);
-
 /// Extracts the measured training set for the data-driven models: one
 /// TrainingPair per (fg, bg) cell of a measured matrix.
 std::vector<TrainingPair> training_pairs(

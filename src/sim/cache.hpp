@@ -112,10 +112,6 @@ class Cache {
   /// Scans only the sets whose presence summary names the application.
   std::uint64_t invalidate_app(AppId app);
 
-  /// True when at least one line of `app` is resident. Coarse per-core
-  /// "may hold lines of app X" filter (complements the per-line mask).
-  bool holds_app(AppId app) const { return app_lines_[app] != 0; }
-
   /// Records that `core`'s private caches received a copy of the line
   /// most recently touched here (access hit, probe hit, or fill). The
   /// hierarchy calls this right after the L3 interaction that precedes

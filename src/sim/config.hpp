@@ -20,7 +20,6 @@ struct CacheConfig {
   std::uint32_t line_bytes = kLineBytes;
 
   std::uint64_t num_sets() const { return size_bytes / (assoc * line_bytes); }
-  std::uint64_t num_lines() const { return size_bytes / line_bytes; }
 };
 
 /// Which of the four Sandy Bridge hardware prefetchers are enabled.

@@ -53,7 +53,6 @@ class Core {
 
   /// Binds a thread (trace source) to this core, starting at `at`.
   void attach(OpSource* src, AppId app, Cycle at);
-  void detach();
 
   /// Advances local time until >= `until` or the core blocks/finishes.
   void run_until(Cycle until);
@@ -77,9 +76,6 @@ class Core {
   /// Per-request latencies recorded at OpKind::Request boundaries
   /// (empty for batch workloads, which never emit request marks).
   const LatencyStats& latency() const { return latency_; }
-
-  /// Forces local time forward (app restart joins, test setup).
-  void advance_to(Cycle t) { local_ = std::max(local_, t); }
 
  private:
   void exec(const Op& op);

@@ -107,12 +107,7 @@ class MemorySystem {
   const MemoryChannel& channel() const { return channel_; }
   PrefetcherBank& prefetcher(unsigned core) { return banks_[core]; }
 
-  void set_prefetch_mask(const PrefetchMask& m);
-
   const MachineConfig& config() const { return cfg_; }
-
-  /// Arena bytes backing the cache SoA state (diagnostics).
-  std::size_t arena_bytes() const { return arena_.bytes_used(); }
 
  private:
   /// Gates a request through `core`'s private bandwidth bucket (a core

@@ -62,9 +62,6 @@ class Machine final : public SyncEnv {
   /// Runs until every foreground application finishes.
   RunOutcome run();
 
-  /// Runs for a fixed duration (diagnostics; background-only setups).
-  void run_for(Cycle cycles);
-
   // SyncEnv
   std::optional<Cycle> barrier_arrive(unsigned core, Cycle now) override;
 
@@ -72,7 +69,6 @@ class Machine final : public SyncEnv {
   const MemorySystem& mem() const { return mem_; }
   Core& core(unsigned i) { return cores_[i]; }
   const MachineConfig& config() const { return cfg_; }
-  Cycle global_cycle() const { return global_; }
 
   std::size_t num_apps() const { return apps_.size(); }
   const AppBinding& app(std::size_t i) const { return apps_[i]; }

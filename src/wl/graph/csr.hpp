@@ -33,9 +33,6 @@ struct Graph {
   std::uint32_t out_degree(std::uint32_t v) const {
     return static_cast<std::uint32_t>(out_offsets[v + 1] - out_offsets[v]);
   }
-  std::uint32_t in_degree(std::uint32_t v) const {
-    return static_cast<std::uint32_t>(in_offsets[v + 1] - in_offsets[v]);
-  }
 
   /// Vertex with the largest out-degree (canonical BFS/SSSP root).
   std::uint32_t max_degree_vertex() const;

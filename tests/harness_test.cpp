@@ -121,18 +121,6 @@ TEST(PrefetchStudy, StreamIsSensitiveBanditIsNot) {
   EXPECT_LE(bandit.speedup_ratio, 1.1);
 }
 
-TEST(PrefetchStudy, AblationTogglesIndividually) {
-  // Needs Small inputs: Tiny STREAM arrays partially fit the LLC and
-  // over-fetching effects dominate the streamer's benefit.
-  RunOptions o = tiny_opts(2);
-  o.size = wl::SizeClass::Small;
-  const auto a = prefetch_ablation("Stream", o);
-  // Disabling the streamer must matter more than the adjacent-line
-  // prefetcher for a pure sequential kernel.
-  EXPECT_LT(a.no_l2_stream, a.no_l2_adjacent + 0.05);
-  EXPECT_LE(a.all_off, a.no_l2_stream + 0.05);
-}
-
 TEST(Matrix, SubsetSweepAndClasses) {
   MatrixOptions mo;
   mo.run = tiny_opts();
@@ -177,13 +165,6 @@ TEST(Scheduler, ValidatesJobLists) {
     EXPECT_THROW((*fn)(m, oob), std::out_of_range);
     EXPECT_THROW((*fn)(m, dup), std::invalid_argument);
   }
-}
-
-TEST(Matrix, RowHelperMatchesPairRuns) {
-  const auto row = corun_row("Bandit", {"swaptions"}, tiny_opts(), 1);
-  ASSERT_EQ(row.size(), 1u);
-  EXPECT_GT(row[0], 0.9);
-  EXPECT_LT(row[0], 1.3);
 }
 
 TEST(Report, TableFormatsAndCsv) {

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/group.hpp"
 #include "harness/parallel.hpp"
 #include "harness/runcache.hpp"
 #include "harness/runner.hpp"
@@ -272,29 +273,37 @@ harness::RunOptions cache_test_options() {
 }
 
 TEST(RunCacheKey, KeyCoversEverySimulationInput) {
+  using harness::GroupSpec;
+  using harness::RunCache;
+  const auto solo_key = [](const char* workload,
+                           const harness::RunOptions& opt) {
+    return RunCache::group_key(GroupSpec::solo(workload, opt.threads), opt);
+  };
+  const auto pair_key = [](const char* fg, const char* bg,
+                           const harness::RunOptions& opt) {
+    return RunCache::group_key(
+        GroupSpec::pair(fg, bg, opt.threads, opt.bg_threads), opt);
+  };
   const harness::RunOptions base = cache_test_options();
-  const std::string k = harness::RunCache::solo_key("Stream", base);
-  EXPECT_EQ(k, harness::RunCache::solo_key("Stream", base))
+  const std::string k = solo_key("Stream", base);
+  EXPECT_EQ(k, solo_key("Stream", base))
       << "same options must produce the same key";
 
   harness::RunOptions seed = base;
   seed.seed = 78;
-  EXPECT_NE(k, harness::RunCache::solo_key("Stream", seed))
-      << "seed change must miss";
+  EXPECT_NE(k, solo_key("Stream", seed)) << "seed change must miss";
 
   harness::RunOptions mach = base;
   mach.machine.l3.size_bytes /= 2;
-  EXPECT_NE(k, harness::RunCache::solo_key("Stream", mach))
-      << "machine-config change must miss";
+  EXPECT_NE(k, solo_key("Stream", mach)) << "machine-config change must miss";
 
   harness::RunOptions pf = base;
   pf.machine.prefetch.l2_stream = false;
-  EXPECT_NE(k, harness::RunCache::solo_key("Stream", pf))
-      << "prefetch-mask change must miss";
+  EXPECT_NE(k, solo_key("Stream", pf)) << "prefetch-mask change must miss";
 
-  EXPECT_NE(k, harness::RunCache::solo_key("Bandit", base));
-  EXPECT_NE(harness::RunCache::pair_key("Stream", "Bandit", base),
-            harness::RunCache::pair_key("Bandit", "Stream", base))
+  EXPECT_NE(k, solo_key("Bandit", base));
+  EXPECT_NE(pair_key("Stream", "Bandit", base),
+            pair_key("Bandit", "Stream", base))
       << "fg/bg are not symmetric";
 }
 
