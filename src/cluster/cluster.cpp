@@ -8,6 +8,7 @@
 #include <limits>
 #include <queue>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -85,14 +86,20 @@ constexpr double kTraceUsPerUnit = 1000.0;
 
 void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
               const std::vector<JobSpec>& trace) {
+  // The audit log stores job ids, types and machine indexes in 32 bits.
+  constexpr std::size_t kMaxId = std::numeric_limits<std::uint32_t>::max();
   if (cfg.machines == 0)
     throw std::invalid_argument{"simulate: need at least one machine"};
+  if (cfg.machines > kMaxId)
+    throw std::invalid_argument{"simulate: machine count above UINT32_MAX"};
   if (cfg.slots < 2)
     throw std::invalid_argument{"simulate: co-run machines need >= 2 slots"};
   if (truth.size() == 0)
     throw std::invalid_argument{"simulate: empty ground truth"};
   double prev = 0.0;
   for (const JobSpec& j : trace) {
+    if (j.id > kMaxId || j.type > kMaxId)
+      throw std::invalid_argument{"simulate: job id or type above UINT32_MAX"};
     if (j.type >= truth.size())
       throw std::invalid_argument{"simulate: job type outside the truth axis"};
     if (j.work <= 0.0)
@@ -123,23 +130,70 @@ void validate(const ClusterConfig& cfg, const harness::InterferenceTruth& truth,
 
 // --- indexed fleet engine -------------------------------------------
 
-/// One running job in the indexed engine. `remaining` is materialized
-/// as of the owning machine's `upd` time; `slowdown` and `eta` are
-/// valid for the machine's current resident multiset.
+/// One running job in the indexed engine, one host cache line wide.
+/// `remaining` is materialized as of the owning machine's `upd` time;
+/// `slowdown` and `eta` are valid for the machine's current resident
+/// multiset. `id`, `start` and `work` let a completion log its Finish
+/// event without loading the job's JobSpec or JobOutcome.
 struct Resident {
-  std::size_t job = 0;   ///< trace index
-  std::size_t type = 0;
+  std::size_t job = 0;     ///< trace index
+  std::uint32_t id = 0;    ///< JobSpec::id
+  std::uint32_t type = 0;
   double remaining = 0.0;
   double slowdown = 1.0;
-  double eta = kInf;     ///< absolute completion estimate
-  double slo = 0.0;      ///< JobSpec::slo_p99 (0 = best-effort)
+  double eta = kInf;       ///< absolute completion estimate
+  double slo = 0.0;        ///< JobSpec::slo_p99 (0 = best-effort)
+  double start = 0.0;      ///< JobOutcome::start, the first placement
+  double work = 0.0;       ///< JobSpec::work
 };
 
 struct MachineState {
-  std::vector<Resident> residents;
-  double upd = 0.0;           ///< time `remaining` values were materialized
-  double next_eta = kInf;     ///< min resident eta (ties: lowest slot)
+  double upd = 0.0;         ///< time `remaining` values were materialized
+  double next_eta = kInf;   ///< min resident eta (ties: lowest slot)
   std::size_t next_pos = 0;
+};
+
+/// Per-machine engine state with the residents inline: machine m's
+/// residents, in placement order, are slots [m * slots, m * slots +
+/// count(m)) of one flat array, so no machine owns a heap block.
+class Fleet {
+ public:
+  Fleet(std::size_t machines, std::size_t slots)
+      : slots_(slots),
+        state_(machines),
+        count_(machines, 0),
+        residents_(machines * slots) {}
+
+  std::size_t size() const { return state_.size(); }
+  std::size_t slots() const { return slots_; }
+  std::size_t count(std::size_t m) const { return count_[m]; }
+  MachineState& state(std::size_t m) { return state_[m]; }
+  const MachineState& state(std::size_t m) const { return state_[m]; }
+  std::span<Resident> residents(std::size_t m) {
+    return {residents_.data() + m * slots_, count_[m]};
+  }
+  std::span<const Resident> residents(std::size_t m) const {
+    return {residents_.data() + m * slots_, count_[m]};
+  }
+
+  /// Appends a resident; the caller keeps count(m) < slots.
+  void push(std::size_t m, const Resident& r) {
+    residents_[m * slots_ + count_[m]++] = r;
+  }
+  /// Removes the resident at `pos`, keeping the others in order.
+  void erase(std::size_t m, std::size_t pos) {
+    const std::span<Resident> rs = residents(m);
+    std::copy(rs.begin() + static_cast<std::ptrdiff_t>(pos) + 1, rs.end(),
+              rs.begin() + static_cast<std::ptrdiff_t>(pos));
+    --count_[m];
+  }
+  void clear(std::size_t m) { count_[m] = 0; }
+
+ private:
+  std::size_t slots_;
+  std::vector<MachineState> state_;
+  std::vector<std::uint32_t> count_;
+  std::vector<Resident> residents_;
 };
 
 /// Open machines (alive, not full) filed by resident multiset: the
@@ -163,7 +217,7 @@ class CandidateIndex {
 
   /// Re-files machine m: out of the index unless `open`, else under
   /// the class of its (reindexed) residents.
-  void refile(std::size_t m, bool open, const std::vector<Resident>& rs) {
+  void refile(std::size_t m, bool open, std::span<const Resident> rs) {
     switch (const std::size_t c = cls_[m]) {
       case kClosed:
         break;
@@ -265,17 +319,16 @@ constexpr double kEtaGuard = 1e-9;
 /// scans in O(1) amortized per step, and any other k by select().
 class EngineView final : public ClusterView {
  public:
-  EngineView(const std::vector<MachineState>& ms, const CandidateIndex& idx,
-             std::size_t slots, const double& t, const std::uint64_t& stamp)
-      : ms_(ms),
+  EngineView(const Fleet& fleet, const CandidateIndex& idx, const double& t,
+             const std::uint64_t& stamp)
+      : fleet_(fleet),
         idx_(idx),
-        slots_(slots),
         t_(t),
         stamp_(stamp),
-        views_(ms.size()),
-        view_stamp_(ms.size(), 0) {}
+        views_(fleet.size()),
+        view_stamp_(fleet.size(), 0) {}
 
-  std::size_t machines() const override { return ms_.size(); }
+  std::size_t machines() const override { return fleet_.size(); }
   std::size_t open_count() const override { return idx_.open().size(); }
 
   std::size_t kth_open(std::size_t k) const override {
@@ -284,7 +337,7 @@ class EngineView final : public ClusterView {
     const std::size_t m = warm && k == last_k_ + 1
                               ? idx_.open().next(last_m_ + 1)
                               : idx_.open().select(k);
-    if (m >= ms_.size())
+    if (m >= fleet_.size())
       throw std::out_of_range{"ClusterView::kth_open: index past open set"};
     scan_stamp_ = stamp_;
     last_k_ = k;
@@ -294,19 +347,18 @@ class EngineView final : public ClusterView {
 
   /// Full and failed machines are exactly the ones outside the index.
   std::size_t free_slots(std::size_t m) const override {
-    return idx_.open().contains(m) ? slots_ - ms_[m].residents.size() : 0;
+    return idx_.open().contains(m) ? fleet_.slots() - fleet_.count(m) : 0;
   }
 
   const MachineView& view(std::size_t m) const override {
     MachineView& v = views_[m];
     if (view_stamp_[m] != stamp_) {
-      const MachineState& s = ms_[m];
+      const double upd = fleet_.state(m).upd;
       v.free_slots = free_slots(m);
       v.residents.clear();
-      for (const Resident& r : s.residents)
+      for (const Resident& r : fleet_.residents(m))
         v.residents.push_back(
-            {r.type,
-             std::max(0.0, r.remaining - (t_ - s.upd) / r.slowdown),
+            {r.type, std::max(0.0, r.remaining - (t_ - upd) / r.slowdown),
              r.slo});
       view_stamp_[m] = stamp_;
     }
@@ -323,7 +375,7 @@ class EngineView final : public ClusterView {
   PricedMachine cheapest_open(const harness::CorunMatrix& est,
                               std::size_t job_type,
                               double job_work) const override {
-    const std::size_t n = ms_.size();
+    const std::size_t n = fleet_.size();
     PricedMachine best{n, kInf};
     const auto price = [&](std::size_t m) {
       const double d = placement_delta(est, job_type, job_work, view(m));
@@ -366,9 +418,8 @@ class EngineView final : public ClusterView {
   }
 
  private:
-  const std::vector<MachineState>& ms_;
+  const Fleet& fleet_;
   const CandidateIndex& idx_;
-  std::size_t slots_;
   const double& t_;
   const std::uint64_t& stamp_;
   mutable std::vector<MachineView> views_;
@@ -468,11 +519,11 @@ ClusterResult simulate(const ClusterConfig& cfg,
   validate(cfg, truth, trace);
   const std::uint64_t fallbacks_before = truth.fallbacks();
 
-  std::vector<MachineState> machines(cfg.machines);
+  Fleet fleet(cfg.machines, cfg.slots);
   std::vector<char> alive(cfg.machines, 1);
   CandidateIndex index(cfg.machines, truth.size());
   for (std::size_t m = 0; m < cfg.machines; ++m)
-    index.refile(m, /*open=*/true, machines[m].residents);
+    index.refile(m, /*open=*/true, {});
 
   unsigned max_priority = 0;
   for (const JobSpec& j : trace) max_priority = std::max(max_priority, j.priority);
@@ -482,6 +533,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   ClusterResult res;
   res.outcomes.resize(trace.size());
+  // Arrive, Place and Finish per job, plus one line per fault event:
+  // the exact count of a fault-free run. Kills, evictions and their
+  // re-placements grow it past that.
+  res.log.events.reserve(3 * trace.size() + cfg.faults.size());
   // Does any job carry an SLO budget? When not, the LC billing below
   // is skipped entirely -- no tail_slowdown queries are issued, so
   // batch-only runs are byte-identical to the pre-SLO engine.
@@ -503,7 +558,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
 
   CompletionHeap heap(cfg.machines);
   std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeue;
-  EngineView cview{machines, index, cfg.slots, t, stamp};
+  EngineView cview{fleet, index, t, stamp};
 
   // Observability: a simulated-time timeline (own trace process per
   // run, so back-to-back policy sweeps do not overwrite each other's
@@ -544,17 +599,16 @@ ClusterResult simulate(const ClusterConfig& cfg,
   // BEFORE mutating its residents.
   const auto close_lane = [&](std::size_t m) {
     if (!traced) return;
-    if (!machines[m].residents.empty() && t > lane_since[m]) {
+    if (fleet.count(m) > 0 && t > lane_since[m]) {
       std::string label;
-      for (const Resident& r : machines[m].residents) {
+      for (const Resident& r : fleet.residents(m)) {
         if (!label.empty()) label += '+';
         label += type_label(r.type);
       }
       tr.complete(trace_pid, static_cast<int>(m), std::move(label),
                   lane_since[m] * kTraceUsPerUnit,
                   (t - lane_since[m]) * kTraceUsPerUnit,
-                  obs::Args{}.set("residents", machines[m].residents.size())
-                      .str());
+                  obs::Args{}.set("residents", fleet.count(m)).str());
     }
     lane_since[m] = t;
   };
@@ -567,9 +621,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
   // Brings machine m's remaining-work accounting up to `t`: one
   // decrement per resident per constant-rate interval, clamped at zero
   // so completion arithmetic never leaves a negative residue.
-  const auto materialize = [&](MachineState& ms) {
+  const auto materialize = [&](std::size_t m) {
+    MachineState& ms = fleet.state(m);
     if (ms.upd == t) return;
-    for (Resident& r : ms.residents)
+    for (Resident& r : fleet.residents(m))
       r.remaining = std::max(0.0, r.remaining - (t - ms.upd) / r.slowdown);
     ms.upd = t;
   };
@@ -583,30 +638,29 @@ ClusterResult simulate(const ClusterConfig& cfg,
   // truth query per resident, fresh ETAs, the machine re-keyed in the
   // completion heap and re-filed in the candidate index.
   const auto reindex = [&](std::size_t m) {
-    MachineState& ms = machines[m];
+    MachineState& ms = fleet.state(m);
+    const std::span<Resident> rs = fleet.residents(m);
     ms.next_eta = kInf;
     ms.next_pos = 0;
-    for (std::size_t i = 0; i < ms.residents.size(); ++i) {
+    for (std::size_t i = 0; i < rs.size(); ++i) {
       others_scratch.clear();
-      for (std::size_t j = 0; j < ms.residents.size(); ++j)
-        if (j != i) others_scratch.push_back(ms.residents[j].type);
-      ms.residents[i].slowdown =
-          truth.slowdown(ms.residents[i].type, others_scratch);
+      for (std::size_t j = 0; j < rs.size(); ++j)
+        if (j != i) others_scratch.push_back(rs[j].type);
+      rs[i].slowdown = truth.slowdown(rs[i].type, others_scratch);
     }
-    for (std::size_t i = 0; i < ms.residents.size(); ++i) {
-      Resident& r = ms.residents[i];
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      Resident& r = rs[i];
       r.eta = t + std::max(0.0, r.remaining) * r.slowdown;
       if (r.eta < ms.next_eta) {
         ms.next_eta = r.eta;
         ms.next_pos = i;
       }
     }
-    heap.update(m, ms.residents.empty() ? kInf : ms.next_eta);
-    index.refile(m, alive[m] && ms.residents.size() < cfg.slots,
-                 ms.residents);
+    heap.update(m, rs.empty() ? kInf : ms.next_eta);
+    index.refile(m, alive[m] && rs.size() < cfg.slots, rs);
     if (cfg.migration.preempt) {
       VictimIndex::ClassMask mask = 0;
-      for (const Resident& r : ms.residents)
+      for (const Resident& r : rs)
         mask |= static_cast<VictimIndex::ClassMask>(1u << trace[r.job].priority);
       victims.refile(m, mask);
     }
@@ -678,16 +732,17 @@ ClusterResult simulate(const ClusterConfig& cfg,
         for (; vprio < top; ++vprio)
           if ((vm = victims.first(vprio)) < cfg.machines) break;
         if (vm == cfg.machines) break;  // nothing strictly lower to evict
-        MachineState& vms = machines[vm];
+        const std::span<const Resident> vrs = fleet.residents(vm);
         const auto victim = std::find_if(
-            vms.residents.begin(), vms.residents.end(),
+            vrs.begin(), vrs.end(),
             [&](const Resident& r) { return trace[r.job].priority == vprio; });
-        if (victim == vms.residents.end())
+        if (victim == vrs.end())
           throw std::logic_error{"simulate: victim index out of step"};
         const std::size_t vjid = victim->job;
+        const auto vpos = static_cast<std::size_t>(victim - vrs.begin());
         close_lane(vm);  // the resident set is about to change
-        materialize(vms);
-        vms.residents.erase(victim);
+        materialize(vm);
+        fleet.erase(vm, vpos);
         reindex(vm);
         --running_count;
         ++stamp;
@@ -776,10 +831,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
       // 2-resident group decomposes into the historical observe_pair
       // order; 3+-resident outcomes are what the deconvolving online
       // policy refines itself with.
-      if (!machines[m].residents.empty()) {
+      if (fleet.count(m) > 0) {
         group_scratch.clear();
         group_scratch.push_back(job.type);
-        for (const Resident& r : machines[m].residents)
+        for (const Resident& r : fleet.residents(m))
           group_scratch.push_back(r.type);
         gslow_scratch.assign(group_scratch.size(), 1.0);
         if (group_scratch.size() == 2) {
@@ -794,19 +849,20 @@ ClusterResult simulate(const ClusterConfig& cfg,
         }
         policy.observe_group(group_scratch, gslow_scratch);
       }
-      close_lane(m);  // the resident set is about to change
-      materialize(machines[m]);
-      machines[m].residents.push_back(
-          {jid, job.type, job.work, 1.0, kInf, job.slo_p99});
-      reindex(m);
-      ++running_count;
-      ++stamp;
       JobOutcome& out = res.outcomes[jid];
       out.machine = m;
       if (!placed[jid]) {
         placed[jid] = 1;
         out.start = t;
       }
+      close_lane(m);  // the resident set is about to change
+      materialize(m);
+      fleet.push(m, {jid, static_cast<std::uint32_t>(job.id),
+                     static_cast<std::uint32_t>(job.type), job.work, 1.0, kInf,
+                     job.slo_p99, out.start, job.work});
+      reindex(m);
+      ++running_count;
+      ++stamp;
       res.log.events.push_back({TraceEvent::Kind::Place, t, job.id, job.type,
                                 m, policy.last_cost_delta()});
       emit_queue_depth();
@@ -835,35 +891,35 @@ ClusterResult simulate(const ClusterConfig& cfg,
     if (t_done <= t_arr && t_done <= t_fault && t_done <= t_req) {
       t = t_done;
       ++stamp;
-      MachineState& ms = machines[done_m];
-      const std::size_t pos = ms.next_pos;
-      const std::size_t jid = ms.residents[pos].job;
+      const std::size_t pos = fleet.state(done_m).next_pos;
+      const Resident done = fleet.residents(done_m)[pos];
       close_lane(done_m);  // the resident set is about to change
       completions_ctr.add();
-      materialize(ms);
-      ms.residents.erase(ms.residents.begin() +
-                         static_cast<std::ptrdiff_t>(pos));
+      materialize(done_m);
+      fleet.erase(done_m, pos);
       reindex(done_m);
       --running_count;
-      JobOutcome& out = res.outcomes[jid];
-      out.finish = t;
-      res.log.events.push_back({TraceEvent::Kind::Finish, t, trace[jid].id,
-                                out.type, done_m, out.corun_slowdown()});
+      // JobOutcome::corun_slowdown(), from the resident's own copy of
+      // start and work.
+      res.outcomes[done.job].finish = t;
+      res.log.events.push_back({TraceEvent::Kind::Finish, t, done.id,
+                                done.type, done_m,
+                                (t - done.start) / done.work});
     } else if (t_fault <= t_arr && t_fault <= t_req) {
       const FaultEvent& f = cfg.faults[next_fault];
       ++next_fault;
       t = f.time;
       ++stamp;
       if (f.kind == FaultEvent::Kind::Down) {
-        MachineState& ms = machines[f.machine];
         close_lane(f.machine);  // the resident set is about to change
         ++res.failures;
         failures_ctr.add();
         res.log.events.push_back(
             {TraceEvent::Kind::Fail, t, 0, 0, f.machine, 0.0});
-        for (const Resident& r : ms.residents) kill_resident(r.job, f.machine);
-        running_count -= ms.residents.size();
-        ms.residents.clear();
+        for (const Resident& r : fleet.residents(f.machine))
+          kill_resident(r.job, f.machine);
+        running_count -= fleet.count(f.machine);
+        fleet.clear(f.machine);
         alive[f.machine] = 0;
         reindex(f.machine);  // empty: leaves the heap and the index
         if (traced) down_since[f.machine] = t;
@@ -947,8 +1003,9 @@ ClusterResult simulate(const ClusterConfig& cfg,
   if (res.lc_billed_decisions > 0)
     res.mean_lc_tail_regret /= static_cast<double>(res.lc_billed_decisions);
   res.pairwise_fallbacks = truth.fallbacks() - fallbacks_before;
-  // The log grew by doubling; hand back only what it holds, so results
-  // kept alive by the caller do not pin up to twice their events.
+  // A churn run outgrows the presized log and then grows it by
+  // doubling; hand back only what it holds, so results kept alive by
+  // the caller do not pin up to twice their events.
   res.log.events.shrink_to_fit();
   return res;
 }

@@ -32,8 +32,12 @@
 // single-resident class, and machines with 2+ residents one by one.
 // Completion arithmetic is drift-free: each resident's remaining work
 // is decremented once per constant-rate interval (clamped at zero),
-// not once per global event. Scales to tens of thousands of machines
-// and millions of arrivals.
+// not once per global event. Residents live inline in one flat
+// machines x slots array and carry what their Finish line needs (job
+// id, type, first placement, solo work), so a completion touches only
+// its machine; the audit log is reserved once at the fault-free event
+// count. Scales to tens of thousands of machines and millions of
+// arrivals.
 //
 // The original O(machines x slots)-per-event scan loop lives on as the
 // executable specification in tests/cluster_reference.hpp; the

@@ -28,8 +28,12 @@ inline constexpr unsigned kMaxPriority = 7;
 
 /// One job in the arrival stream.
 struct JobSpec {
-  std::size_t id = 0;    ///< stable identity, echoed verbatim in the log
-  std::size_t type = 0;  ///< index into the co-run matrix's workload axis
+  /// Stable identity, echoed verbatim in the log. The log stores it
+  /// in 32 bits: simulate() rejects ids above UINT32_MAX.
+  std::size_t id = 0;
+  /// Index into the co-run matrix's workload axis; like `id`, at most
+  /// UINT32_MAX.
+  std::size_t type = 0;
   double arrival = 0.0;  ///< simulated seconds, non-decreasing
   double work = 1.0;     ///< solo execution time this job needs
   /// Priority class (0 = best effort). Higher classes leave the
@@ -140,18 +144,34 @@ struct FaultScheduleOptions {
 std::vector<FaultEvent> fault_schedule(std::size_t machines,
                                        const FaultScheduleOptions& opt);
 
-/// One line of the simulator's audit log.
+/// One line of the simulator's audit log, packed into 32 bytes: a
+/// fleet run logs three events per job, so the log is the largest
+/// structure a long run keeps. Job ids, types and machine indexes are
+/// stored in 32 bits; simulate() rejects inputs that do not fit.
 struct TraceEvent {
-  enum class Kind { Arrive, Place, Finish, Fail, Recover, Evict, Shed };
-  Kind kind = Kind::Arrive;
-  double time = 0.0;
-  std::size_t job = 0;  ///< JobSpec::id -- the same identity in all kinds
-  std::size_t type = 0;
-  std::size_t machine = 0;  ///< Place/Finish/Fail/Recover/Evict only
+  enum class Kind : std::uint8_t {
+    Arrive, Place, Finish, Fail, Recover, Evict, Shed
+  };
+
+  /// Narrows `job`, `type` and `machine` to 32 bits.
+  TraceEvent(Kind k, double t, std::size_t j, std::size_t ty, std::size_t m,
+             double v)
+      : time(t),
+        value(v),
+        job(static_cast<std::uint32_t>(j)),
+        type(static_cast<std::uint32_t>(ty)),
+        machine(static_cast<std::uint32_t>(m)),
+        kind(k) {}
+
+  double time;
   /// Place: the policy's predicted cost delta for the chosen machine;
   /// Finish: the slowdown the job actually experienced;
   /// Evict/Shed: the solo work the job still needed.
-  double value = 0.0;
+  double value;
+  std::uint32_t job;  ///< JobSpec::id -- the same identity in all kinds
+  std::uint32_t type;
+  std::uint32_t machine;  ///< Place/Finish/Fail/Recover/Evict only
+  Kind kind;
 };
 
 struct TraceLog {

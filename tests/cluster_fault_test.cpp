@@ -5,11 +5,13 @@
 // billing, and audit-log goldens of the protected config.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -218,6 +220,8 @@ TEST(FaultReplay, SameSeedSameAuditLog) {
   EXPECT_NE(log.find(" fail machine="), std::string::npos);
   EXPECT_NE(log.find(" recover machine="), std::string::npos);
   EXPECT_NE(log.find(" evict job="), std::string::npos);
+  EXPECT_GT(a.migrations, 0u);
+  EXPECT_GT(a.shed_jobs, 0u);
 
   // Killed-and-completed jobs still satisfy the solo-normalized
   // invariants: lost work and backoff only stretch them.
@@ -226,6 +230,30 @@ TEST(FaultReplay, SameSeedSameAuditLog) {
     EXPECT_GE(o.stretch(), 1.0 - 1e-12);
     EXPECT_GE(o.corun_slowdown(), 1.0 - 1e-12);
   }
+
+  // The engine logs a completion from the finishing resident's own
+  // copy of the job's id, type, first-placement time and work. Through
+  // kills, evictions and sheds, every Finish line must still name the
+  // JobSpec and carry its outcome's corun_slowdown() bit for bit.
+  std::unordered_map<std::size_t, std::size_t> index_of;
+  for (std::size_t i = 0; i < trace.size(); ++i) index_of[trace[i].id] = i;
+  std::size_t finishes = 0;
+  for (const TraceEvent& e : a.log.events) {
+    if (e.kind != TraceEvent::Kind::Finish) continue;
+    ++finishes;
+    const auto it = index_of.find(e.job);
+    ASSERT_NE(it, index_of.end()) << "Finish for unknown job " << e.job;
+    const JobSpec& spec = trace[it->second];
+    const JobOutcome& o = a.outcomes[it->second];
+    EXPECT_EQ(e.job, spec.id);
+    EXPECT_EQ(e.type, spec.type);
+    EXPECT_EQ(e.machine, o.machine);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.value),
+              std::bit_cast<std::uint64_t>(o.corun_slowdown()))
+        << "job " << e.job << ": Finish logs " << e.value
+        << ", outcome reads " << o.corun_slowdown();
+  }
+  EXPECT_EQ(finishes, a.completed_jobs);
 }
 
 // --- retry/backoff and restart from zero ----------------------------

@@ -142,6 +142,9 @@ TEST(Cluster, OracleKeepsTheVictimOffTheHogsMachine) {
       << "oracle paired the victim (2.2x) with the hog despite a free machine";
 }
 
+// Three events per job make the log a fleet run's largest structure.
+static_assert(sizeof(TraceEvent) == 32, "TraceEvent must stay 32 bytes");
+
 TEST(Cluster, SimulateValidatesItsInput) {
   const auto truth = synthetic_truth();
   RandomPolicy policy{1};
@@ -155,6 +158,15 @@ TEST(Cluster, SimulateValidatesItsInput) {
   EXPECT_THROW(
       simulate({2, 2}, truth, {{0, 0, 5.0, 1.0}, {1, 0, 1.0, 1.0}}, policy),
       std::invalid_argument);
+  // The audit log stores ids, types and machine indexes in 32 bits.
+  constexpr std::size_t kPast32 = std::size_t{1} << 32;
+  EXPECT_THROW(simulate({2, 2}, truth, {{kPast32, 0, 0.0, 1.0}}, policy),
+               std::invalid_argument);
+  EXPECT_THROW(simulate({2, 2}, truth, {{0, kPast32, 0.0, 1.0}}, policy),
+               std::invalid_argument);
+  EXPECT_THROW(simulate({kPast32 + 1, 2}, truth, ok, policy),
+               std::invalid_argument);
+  EXPECT_NO_THROW(simulate({2, 2}, truth, {{kPast32 - 1, 0, 0.0, 1.0}}, policy));
   // A truth with no workload types (MatrixTruth refuses to wrap an
   // empty matrix, so the engine's own check needs a bare truth).
   struct EmptyTruth final : harness::InterferenceTruth {
