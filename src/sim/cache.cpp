@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -32,12 +33,16 @@ Cache::Cache(std::string name, const CacheConfig& cfg, bool hashed_index,
 void Cache::init_storage(Arena& arena) {
   if (num_sets_ == 0 || (num_sets_ & (num_sets_ - 1)) != 0)
     throw std::invalid_argument{name_ + ": set count must be a power of two"};
+  if (assoc_ == 0 || assoc_ > 32)
+    throw std::invalid_argument{name_ + ": associativity must be 1..32"};
   sets_log2_ = static_cast<std::uint64_t>(std::countr_zero(num_sets_));
+  full_mask_ = assoc_ == 32 ? ~0u : (1u << assoc_) - 1;
   const std::uint64_t lines = num_sets_ * assoc_;
   tags_ = arena.alloc_array<Addr>(lines);
+  std::fill_n(tags_, lines, kInvalidTag);
   lru_ = arena.alloc_array<std::uint64_t>(lines);
   flags_ = arena.alloc_array<std::uint8_t>(lines);
-  set_app_mask_ = arena.alloc_array<std::uint8_t>(num_sets_);
+  valid_ = arena.alloc_array<std::uint32_t>(num_sets_);
   mru_idx_ = arena.alloc_array<std::uint32_t>(num_sets_);
   set_epoch_ = arena.alloc_array<std::uint32_t>(num_sets_);
   if (track_private_) private_mask_ = arena.alloc_array<std::uint64_t>(lines);
@@ -60,7 +65,8 @@ Cache::InvalidateResult Cache::invalidate_slow(Addr line) {
   const std::uint64_t i = base + w;
   r.present = true;
   r.dirty = (flags_[i] & kDirty) != 0;
-  flags_[i] = 0;
+  tags_[i] = kInvalidTag;
+  valid_[set] &= ~(1u << w);
   --app_lines_[app_of_line(line)];
   --valid_lines_;
   presence_remove(line);
@@ -70,38 +76,13 @@ Cache::InvalidateResult Cache::invalidate_slow(Addr line) {
   return r;
 }
 
-std::uint64_t Cache::invalidate_app(AppId app) {
-  std::uint64_t remaining = app_lines_[app];
-  if (remaining == 0) return 0;
-  const std::uint8_t bit = app_bit(app);
-  std::uint64_t n = 0;
-  for (std::uint64_t s = 0; s < num_sets_ && remaining > 0; ++s) {
-    if ((set_app_mask_[s] & bit) == 0) continue;  // app never filled here
-    const std::uint64_t base = s * assoc_;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-      const std::uint64_t i = base + w;
-      if ((flags_[i] & kValid) != 0 && app_of_line(tags_[i]) == app) {
-        flags_[i] = 0;
-        ++n;
-        --remaining;
-        --valid_lines_;
-        presence_remove(tags_[i]);
-        ++set_epoch_[s];
-        if (track_private_) private_mask_[i] = 0;
-      }
-    }
-  }
-  app_lines_[app] = 0;
-  return n;
-}
-
 CacheResult Cache::access(Addr line, bool is_write) {
   // Member pointers are hoisted into locals throughout the hot methods:
   // flags_/presence_ are byte arrays, and a byte store may alias the
   // member pointers themselves, so without the locals every store forces
   // the compiler to reload them from `this`.
   std::uint8_t* const flags = flags_;
-  Addr* const tags = tags_;
+  const Addr* const tags = tags_;
   CacheResult r;
   const std::uint64_t set = set_index(line);
   // MRU-first: repeat touches dominate demand traffic, and the MRU
@@ -109,16 +90,16 @@ CacheResult Cache::access(Addr line, bool is_write) {
   // it runs before the filter (the filter only pays off on misses;
   // both checks are side-effect-free, so the order is unobservable).
   const std::uint64_t m = mru_idx_[set];
-  std::uint64_t i;
-  if ((flags[m] & kValid) != 0 && tags[m] == line) {
-    i = m;
-  } else if (!definitely_absent(line)) {
-    const std::uint64_t base = set * assoc_;
+  std::uint64_t i = m;
+  if (tags[m] != line) {
     std::uint32_t w = kNoWay;
-    for (std::uint32_t k = 0; k < assoc_; ++k) {
-      if ((flags[base + k] & kValid) != 0 && tags[base + k] == line) {
-        w = k;
-        break;
+    const std::uint64_t base = set * assoc_;
+    if (!definitely_absent(line)) {
+      for (std::uint32_t k = 0; k < assoc_; ++k) {
+        if (tags[base + k] == line) {
+          w = k;
+          break;
+        }
       }
     }
     if (w == kNoWay) {
@@ -132,14 +113,6 @@ CacheResult Cache::access(Addr line, bool is_write) {
     }
     i = base + w;
     mru_idx_[set] = static_cast<std::uint32_t>(i);
-  } else {
-    memo_line_ = line;
-    memo_valid_ = true;
-    if (is_write)
-      ++stats_.store_misses;
-    else
-      ++stats_.demand_misses;
-    return r;
   }
   last_touch_ = i;
   r.hit = true;
@@ -159,11 +132,9 @@ CacheResult Cache::access(Addr line, bool is_write) {
 }
 
 bool Cache::probe(Addr line) const {
-  const std::uint8_t* const flags = flags_;
-  const Addr* const tags = tags_;
   const std::uint64_t set = set_index(line);
   const std::uint64_t m = mru_idx_[set];  // MRU-first, as in access()
-  if ((flags[m] & kValid) != 0 && tags[m] == line) {
+  if (tags_[m] == line) {
     last_touch_ = m;
     return true;
   }
@@ -181,51 +152,30 @@ bool Cache::probe(Addr line) const {
 }
 
 CacheResult Cache::fill(Addr line, bool dirty, bool from_prefetch) {
-  const std::uint8_t* const flags = flags_;
-  const Addr* const tags = tags_;
-  const std::uint64_t* const lru = lru_;
   const std::uint64_t set = set_index(line);
   const std::uint64_t base = set * assoc_;
   if (memo_valid_ && memo_line_ == line) {
     // The caller just observed this line missing (access/probe), and
     // nothing can have inserted it since: skip the duplicate lookup.
     memo_valid_ = false;
-    return install(set, pick_victim(base), line, dirty, from_prefetch);
-  }
-  // Single merged pass: duplicate check and victim selection together.
-  std::uint32_t first_invalid = kNoWay;
-  std::uint32_t lru_way = 0;
-  std::uint64_t best_lru = ~std::uint64_t{0};
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    const std::uint64_t i = base + w;
-    if ((flags[i] & kValid) == 0) {
-      if (first_invalid == kNoWay) first_invalid = w;
-      continue;
-    }
-    if (tags[i] == line) {
+  } else if (!definitely_absent(line)) {
+    const std::uint32_t w = find_way(set, base, line);
+    if (w != kNoWay) {
       // Duplicate fill (e.g. prefetch raced a demand fill): refresh state.
-      CacheResult r;
+      const std::uint64_t i = base + w;
       if (dirty) flags_[i] |= kDirty;
       lru_[i] = ++lru_clock_;
       last_touch_ = i;
-      return r;
-    }
-    if (lru[i] < best_lru) {
-      best_lru = lru[i];
-      lru_way = w;
+      return CacheResult{};
     }
   }
-  const std::uint32_t victim =
-      first_invalid != kNoWay ? first_invalid : lru_way;
-  return install(set, victim, line, dirty, from_prefetch);
+  return install(set, pick_victim(set, base), line, dirty, from_prefetch);
 }
 
 bool Cache::mark_dirty(Addr line) {
-  const std::uint8_t* const flags = flags_;
-  const Addr* const tags = tags_;
   const std::uint64_t set = set_index(line);
   const std::uint64_t m = mru_idx_[set];  // MRU-first, as in access()
-  if ((flags[m] & kValid) != 0 && tags[m] == line) {
+  if (tags_[m] == line) {
     flags_[m] |= kDirty;
     return true;
   }
@@ -243,12 +193,12 @@ bool Cache::mark_dirty(Addr line) {
 }
 
 std::uint32_t Cache::find_way(std::uint64_t set, std::uint64_t base,
-                       Addr line) const {
+                              Addr line) const {
+  const Addr* const tags = tags_;
   const std::uint64_t m = mru_idx_[set];
-  if ((flags_[m] & kValid) != 0 && tags_[m] == line)
-    return static_cast<std::uint32_t>(m - base);
+  if (tags[m] == line) return static_cast<std::uint32_t>(m - base);
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if ((flags_[base + w] & kValid) != 0 && tags_[base + w] == line) {
+    if (tags[base + w] == line) {
       mru_idx_[set] = static_cast<std::uint32_t>(base + w);
       return w;
     }
@@ -256,38 +206,41 @@ std::uint32_t Cache::find_way(std::uint64_t set, std::uint64_t base,
   return kNoWay;
 }
 
-std::uint32_t Cache::pick_victim(std::uint64_t base) const {
+std::uint32_t Cache::pick_victim(std::uint64_t set, std::uint64_t base) const {
   // First invalid way wins; otherwise the smallest LRU stamp (stamps
   // are unique, so ties cannot occur).
+  const std::uint32_t valid = valid_[set];
+  if (valid != full_mask_)
+    return static_cast<std::uint32_t>(std::countr_zero(~valid));
+  const std::uint64_t* const lru = lru_ + base;
   std::uint32_t victim = 0;
-  std::uint64_t best_lru = ~std::uint64_t{0};
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if ((flags_[base + w] & kValid) == 0) return w;
-    if (lru_[base + w] < best_lru) {
-      best_lru = lru_[base + w];
-      victim = w;
-    }
+  std::uint64_t best = lru[0];
+  for (std::uint32_t w = 1; w < assoc_; ++w) {
+    const bool older = lru[w] < best;  // selects, not branches
+    best = older ? lru[w] : best;
+    victim = older ? w : victim;
   }
   return victim;
 }
 
 CacheResult Cache::install(std::uint64_t set, std::uint32_t way, Addr line,
-                    bool dirty, bool from_prefetch) {
+                           bool dirty, bool from_prefetch) {
   std::uint8_t* const flags = flags_;
   Addr* const tags = tags_;
   CacheResult r;
   const std::uint64_t i = set * assoc_ + way;
-  const std::uint8_t old_flags = flags[i];
-  if ((old_flags & kValid) != 0) {
-    const Addr old_tag = tags[i];
+  const Addr old_tag = tags[i];
+  if (old_tag != kInvalidTag) {
     r.evicted = true;
     r.evicted_line = old_tag;
-    r.evicted_dirty = (old_flags & kDirty) != 0;
+    r.evicted_dirty = (flags[i] & kDirty) != 0;
     if (r.evicted_dirty) ++stats_.writebacks;
     --app_lines_[app_of_line(old_tag)];
     --valid_lines_;
     presence_remove(old_tag);
     ++set_epoch_[set];  // a line departed: combining proofs expire
+  } else {
+    valid_[set] |= 1u << way;
   }
   if (track_private_) {
     if (r.evicted) r.evicted_private_mask = private_mask_[i];
@@ -296,15 +249,12 @@ CacheResult Cache::install(std::uint64_t set, std::uint32_t way, Addr line,
   last_touch_ = i;
   mru_idx_[set] = static_cast<std::uint32_t>(i);
   tags[i] = line;
-  flags[i] = static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0) |
+  flags[i] = static_cast<std::uint8_t>((dirty ? kDirty : 0) |
                                        (from_prefetch ? kPrefetched : 0));
   lru_[i] = ++lru_clock_;
-  const AppId app = app_of_line(line);
-  ++app_lines_[app];
+  ++app_lines_[app_of_line(line)];
   ++valid_lines_;
   presence_add(line);
-  const std::uint8_t bit = app_bit(app);
-  if ((set_app_mask_[set] & bit) == 0) set_app_mask_[set] |= bit;
   if (from_prefetch) ++stats_.prefetch_fills;
   if (memo_valid_ && memo_line_ == line) memo_valid_ = false;
   return r;

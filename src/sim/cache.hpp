@@ -9,9 +9,21 @@
 // Hot-path layout: way state is stored SoA (tags / flags / LRU stamps
 // in separate arrays) so the per-set way scan touches a handful of
 // contiguous cache lines instead of striding through an AoS struct.
-// A one-entry "known absent" memo lets the common access-miss -> fill
-// and probe -> fill chains run with a single set scan: the second call
-// skips the duplicate lookup and goes straight to victim selection.
+// An invalid way holds the sentinel tag kInvalidTag (~0, which no line
+// number reaches: lines are addresses >> 6), so every lookup -- the MRU
+// check and the way scan alike -- compares tags only and never loads
+// the flags. A lookup checks the set's MRU way first, then a counting
+// presence filter that rejects most missing lines without reading a
+// tag, and only then scans the set's tags.
+// Each set also keeps a bitmask of its valid ways: a fill into a set
+// that is not full takes the lowest clear bit as its victim (the
+// first-invalid-way rule) without touching the stamps, and only a full
+// set scans its LRU stamps, with a branchless argmin. A one-entry
+// "known absent" memo lets the common access-miss -> fill and probe ->
+// fill chains run with a single lookup: the fill skips the duplicate
+// lookup and goes straight to victim selection. A fill without the
+// memo looks the line up first, so what a fill still scans is the
+// stamps of a full set, plus the tags when no memo vouches for absence.
 // Per-application valid-line counters make occupancy_of() O(1) and let
 // invalidate() reject lines of applications with no cached state
 // without scanning the set -- the inclusive-L3 back-invalidation
@@ -66,6 +78,7 @@ class Cache {
   /// `track_private_copies` enables the per-line core mask consumed by
   /// the inclusive-L3 back-invalidation broadcast (LLC only).
   /// SoA storage comes from `arena`; the arena must outlive the cache.
+  /// Associativity is limited to 32 ways (one valid-mask word per set).
   Cache(Arena& arena, std::string name, const CacheConfig& cfg,
         bool hashed_index = false, bool track_private_copies = false);
 
@@ -107,11 +120,20 @@ class Cache {
     return invalidate_slow(line);
   }
 
-  /// Drops every line belonging to application `app` (used when a
-  /// background application restarts with a fresh address space is NOT
-  /// done in the paper's methodology -- provided for tests/tools).
-  /// Scans only the sets whose presence summary names the application.
-  std::uint64_t invalidate_app(AppId app);
+  /// True when the presence filter proves `line` absent (no false
+  /// negatives; a false "maybe" costs only a scan).
+  bool definitely_absent(Addr line) const {
+    return presence_[presence_bucket(line)] == 0;
+  }
+
+  /// Records that `line` is absent without looking it up, so the next
+  /// fill of it skips the duplicate lookup. The caller must know the
+  /// line is absent: the hierarchy knows it for a private cache when
+  /// the inclusive L3 proves the line absent.
+  void assume_absent(Addr line) const {
+    memo_line_ = line;
+    memo_valid_ = true;
+  }
 
   /// Records that `core`'s private caches received a copy of the line
   /// most recently touched here (access hit, probe hit, or fill). The
@@ -148,25 +170,21 @@ class Cache {
   std::uint64_t set_index(Addr line) const;
 
  private:
-  // flags_ bit layout.
-  static constexpr std::uint8_t kValid = 1;
-  static constexpr std::uint8_t kDirty = 2;
-  static constexpr std::uint8_t kPrefetched = 4;
+  // flags_ bit layout (meaningful for valid ways only).
+  static constexpr std::uint8_t kDirty = 1;
+  static constexpr std::uint8_t kPrefetched = 2;
   static constexpr std::uint32_t kNoWay = ~0u;
+  /// Tag of an invalid way.
+  static constexpr Addr kInvalidTag = ~Addr{0};
 
   static AppId app_of_line(Addr line) {
     return app_of(line << kLineBytesLog2);
-  }
-  /// Per-set presence summary bit (applications >= 7 share the top bit;
-  /// the summary is conservative, the way scan still matches exactly).
-  static std::uint8_t app_bit(AppId app) {
-    return static_cast<std::uint8_t>(1u << (app < 7 ? app : 7));
   }
 
   std::uint32_t find_way(std::uint64_t set, std::uint64_t base,
                          Addr line) const;
 
-  std::uint32_t pick_victim(std::uint64_t base) const;
+  std::uint32_t pick_victim(std::uint64_t set, std::uint64_t base) const;
 
   CacheResult install(std::uint64_t set, std::uint32_t way, Addr line,
                       bool dirty, bool from_prefetch);
@@ -180,9 +198,6 @@ class Cache {
   /// (counting, so removals keep it exact -- no false negatives ever).
   std::uint64_t presence_bucket(Addr line) const {
     return (line * 0x9E3779B97F4A7C15ull) >> presence_shift_;
-  }
-  bool definitely_absent(Addr line) const {
-    return presence_[presence_bucket(line)] == 0;
   }
   void presence_add(Addr line) {
     std::uint8_t& c = presence_[presence_bucket(line)];
@@ -208,6 +223,7 @@ class Cache {
 
   // SoA way state, row-major by set (index = set * assoc_ + way).
   // Raw arena arrays: sized once in the constructor, never resized.
+  /// kInvalidTag marks an invalid way.
   Addr* tags_ = nullptr;
   std::uint64_t* lru_ = nullptr;
   std::uint8_t* flags_ = nullptr;
@@ -218,8 +234,10 @@ class Cache {
   /// Way index of the line most recently hit/probed/installed; the
   /// anchor for note_private().
   mutable std::uint64_t last_touch_ = 0;
-  /// Sticky per-set summary of which applications may have lines there.
-  std::uint8_t* set_app_mask_ = nullptr;
+  /// Per-set bitmask of valid ways (bit w = way w holds a line).
+  std::uint32_t* valid_ = nullptr;
+  /// valid_ value of a full set: the low assoc_ bits.
+  std::uint32_t full_mask_ = 0;
   /// Per-set most-recently-touched way (global line index): checked
   /// first by find_way, which short-circuits the way scan for the
   /// repeat-touch patterns that dominate demand hits and the stride

@@ -210,6 +210,15 @@ class MemorySystem {
   //  - `last_prefetches_` counts fills only; a skipped request would
   //    not have filled.
 
+  /// probe(), or its outcome when `cold` already proves the line absent.
+  static bool resident(const Cache& c, Addr line, bool cold) {
+    if (cold) {
+      c.assume_absent(line);
+      return false;
+    }
+    return c.probe(line);
+  }
+
   struct CombineEntry {
     Addr line = ~Addr{0};
     std::uint32_t epoch = 0;
@@ -242,10 +251,13 @@ class MemorySystem {
       Cache& target = req.level == PrefetchLevel::L1 ? l1 : l2;
       if (known != nullptr && target.set_epoch_of(req.line) == known->epoch)
         continue;  // combined: provably still resident, the walk is a no-op
+      // By inclusion, a line the L3's presence filter proves absent is
+      // in no private cache either: the walk skips every probe.
+      const bool cold = cfg_.l3_inclusive && l3_.definitely_absent(req.line);
       if (req.level == PrefetchLevel::L1) {
-        if (!l1.probe(req.line)) {
-          if (!l2.probe(req.line)) {
-            if (!l3_.probe(req.line)) {
+        if (!resident(l1, req.line, cold)) {
+          if (!resident(l2, req.line, cold)) {
+            if (!resident(l3_, req.line, cold)) {
               (void)fetch_to_l3(core, req.line, now, true);
               gates_open =
                   core_backlog(core, now) <= kPrefetchDropCoreBacklog &&
@@ -258,8 +270,8 @@ class MemorySystem {
           ++last_prefetches_;
         }
       } else {
-        if (!l2.probe(req.line)) {
-          if (!l3_.probe(req.line)) {
+        if (!resident(l2, req.line, cold)) {
+          if (!resident(l3_, req.line, cold)) {
             (void)fetch_to_l3(core, req.line, now, true);
             gates_open = core_backlog(core, now) <= kPrefetchDropCoreBacklog &&
                          channel_.backlog(now) <= kPrefetchDropBacklog;

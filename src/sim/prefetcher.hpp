@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -93,27 +94,32 @@ class PrefetcherBank {
     if (!mask_.l2_stream) return;
 
     const Addr page = page_of_line(line);
-    // Steady state is a match on a trained stream: scan for it with an
-    // early exit and leave victim selection to the (rare) allocation
-    // path instead of folding an LRU sweep into every lookup.
-    StreamEntry* entry = nullptr;
-    for (StreamEntry& s : streams_) {
-      if (s.valid && s.page == page) {
-        entry = &s;
-        break;
-      }
-    }
+    // Steady state is a match on a trained stream: the lookup scans the
+    // packed page keys alone (an empty slot holds kNoPage) with an early
+    // exit, and allocation reads the valid mask and the stamps.
+    std::uint32_t k = 0;
+    while (k < kStreamTableSize && stream_page_[k] != page) ++k;
     ++stream_clock_;
-    if (entry == nullptr) {
-      // Prefer an invalid slot; otherwise evict the least recently used.
-      StreamEntry* victim = &streams_.front();
-      for (StreamEntry& s : streams_) {
-        if (victim->valid && (!s.valid || s.lru < victim->lru)) victim = &s;
+    if (k == kStreamTableSize) {
+      // Prefer the first empty slot; otherwise evict the least recently
+      // used (stamps are unique, so ties cannot occur).
+      std::uint32_t victim;
+      if (stream_valid_ != kAllStreams) {
+        victim = static_cast<std::uint32_t>(std::countr_zero(
+            static_cast<std::uint32_t>(~stream_valid_)));
+        stream_valid_ |= static_cast<std::uint16_t>(1u << victim);
+      } else {
+        victim = 0;
+        for (std::uint32_t s = 1; s < kStreamTableSize; ++s)
+          if (stream_lru_[s] < stream_lru_[victim]) victim = s;
       }
-      *victim = StreamEntry{page, line, 0, 1, stream_clock_, true};
+      stream_page_[victim] = page;
+      stream_lru_[victim] = stream_clock_;
+      streams_[victim] = StreamEntry{line, 0, 1};
       return;
     }
-    entry->lru = stream_clock_;
+    stream_lru_[k] = stream_clock_;
+    StreamEntry* const entry = &streams_[k];
     const std::int64_t delta = static_cast<std::int64_t>(line) -
                                static_cast<std::int64_t>(entry->last_line);
     if (delta == 1 || delta == -1) {
@@ -163,15 +169,23 @@ class PrefetcherBank {
   static constexpr std::uint8_t kIpConfidenceThreshold = 2;
 
   // --- L2 streamer state ------------------------------------------------
+  // Structure of arrays: the per-miss lookup reads only the 16 page keys
+  // (128 bytes); the valid mask and LRU stamps serve allocation.
   struct StreamEntry {
-    Addr page = 0;            // 4 KiB page number
     Addr last_line = 0;
     std::int8_t direction = 0;  // +1 / -1
     std::uint8_t run = 0;       // consecutive sequential misses seen
-    std::uint64_t lru = 0;
-    bool valid = false;
   };
-  static constexpr std::size_t kStreamTableSize = 16;
+  static constexpr std::uint32_t kStreamTableSize = 16;
+  static constexpr auto kAllStreams =
+      static_cast<std::uint16_t>((1u << kStreamTableSize) - 1);
+  /// Page key of an empty slot (page numbers are addresses >> 12).
+  static constexpr Addr kNoPage = ~Addr{0};
+  static constexpr std::array<Addr, kStreamTableSize> empty_pages() {
+    std::array<Addr, kStreamTableSize> pages{};
+    pages.fill(kNoPage);
+    return pages;
+  }
 
   void emit(Addr line, PrefetchLevel level, std::vector<PrefetchRequest>& out) {
     out.push_back(PrefetchRequest{line, level});
@@ -183,7 +197,10 @@ class PrefetcherBank {
   std::uint32_t degree_;
   std::uint32_t train_;
   std::array<IpEntry, kIpTableSize> ip_table_{};
+  std::array<Addr, kStreamTableSize> stream_page_ = empty_pages();
+  std::array<std::uint64_t, kStreamTableSize> stream_lru_{};
   std::array<StreamEntry, kStreamTableSize> streams_{};
+  std::uint16_t stream_valid_ = 0;  ///< bit k: slot k holds a stream
   std::uint64_t stream_clock_ = 0;
   std::uint64_t issued_ = 0;
 };

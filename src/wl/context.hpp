@@ -13,8 +13,8 @@
 #include <cassert>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "sim/op.hpp"
 #include "wl/coro.hpp"
@@ -28,23 +28,20 @@ class ThreadCtx {
   /// one op can advance a core past its quantum.
   static constexpr std::uint32_t kComputeChunk = 2048;
 
-  ThreadCtx() { buf_.reserve(kCap); }
+  ThreadCtx() : buf_(std::make_unique_for_overwrite<sim::Op[]>(kCap + 1)) {}
   ThreadCtx(const ThreadCtx&) = delete;
   ThreadCtx& operator=(const ThreadCtx&) = delete;
 
-  bool full() const { return buf_.size() >= kCap; }
-  bool empty() const { return head_ >= buf_.size(); }
+  bool full() const { return len_ >= kCap; }
+  bool empty() const { return head_ >= len_; }
 
   /// Copies up to `max` buffered ops to `out`; returns the count.
   std::size_t drain(sim::Op* out, std::size_t max) {
-    const std::size_t avail = buf_.size() - head_;
+    const std::size_t avail = len_ - head_;
     const std::size_t n = avail < max ? avail : max;
     for (std::size_t i = 0; i < n; ++i) out[i] = buf_[head_ + i];
     head_ += n;
-    if (head_ >= buf_.size()) {
-      buf_.clear();
-      head_ = 0;
-    }
+    if (head_ >= len_) head_ = len_ = 0;
     return n;
   }
 
@@ -52,26 +49,22 @@ class ThreadCtx {
   /// returns the slice. The slice stays valid until the next
   /// reset_consumed()/clear() (i.e. until the pump resumes the body).
   const sim::Op* drain_all_view(std::size_t& n) {
-    n = buf_.size() - head_;
-    const sim::Op* p = buf_.data() + head_;
-    head_ = buf_.size();
+    n = len_ - head_;
+    const sim::Op* p = buf_.get() + head_;
+    head_ = len_;
     return p;
   }
 
   /// Reclaims buffer storage once a zero-copy view has been consumed.
   void reset_consumed() {
-    if (head_ != 0 && head_ >= buf_.size()) {
-      buf_.clear();
-      head_ = 0;
-    }
+    if (head_ != 0 && head_ >= len_) head_ = len_ = 0;
   }
 
   /// Stable non-null pointer for empty zero-copy results.
-  const sim::Op* storage() const { return buf_.data(); }
+  const sim::Op* storage() const { return buf_.get(); }
 
   void clear() {
-    buf_.clear();
-    head_ = 0;
+    head_ = len_ = 0;
     at_barrier_ = false;
   }
 
@@ -92,7 +85,7 @@ class ThreadCtx {
     bool pushed = false;
     bool await_ready() {
       if (!c->full()) {
-        c->buf_.push_back(op);
+        c->push(op);
         pushed = true;
         return true;
       }
@@ -100,7 +93,7 @@ class ThreadCtx {
     }
     void await_suspend(std::coroutine_handle<>) noexcept {}
     void await_resume() {
-      if (!pushed) c->buf_.push_back(op);
+      if (!pushed) c->push(op);
     }
   };
 
@@ -125,7 +118,7 @@ class ThreadCtx {
         const auto n = remaining < kComputeChunk
                            ? static_cast<std::uint32_t>(remaining)
                            : kComputeChunk;
-        c->buf_.push_back(sim::Op::compute(n));
+        c->push(sim::Op::compute(n));
         remaining -= n;
       }
     }
@@ -143,7 +136,7 @@ class ThreadCtx {
     ThreadCtx* c;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<>) {
-      c->buf_.push_back(sim::Op::barrier());
+      c->push(sim::Op::barrier());
       c->at_barrier_ = true;
     }
     void await_resume() const noexcept {}
@@ -159,8 +152,15 @@ class ThreadCtx {
   Emit request_reset() { return Emit{this, sim::Op::request_reset()}; }
 
  private:
-  std::vector<sim::Op> buf_;
+  /// Appends one op. Emit and EmitCompute check full() first; a barrier
+  /// may land on a full buffer, so the buffer holds kCap + 1 ops. kCap
+  /// is part of the model: it sets where op bursts split across refills.
+  void push(const sim::Op& op) { buf_[len_++] = op; }
+
+  /// Ops [head_, len_) are pending.
+  std::unique_ptr<sim::Op[]> buf_;
   std::size_t head_ = 0;
+  std::size_t len_ = 0;
   bool at_barrier_ = false;
 };
 

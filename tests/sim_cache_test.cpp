@@ -1,7 +1,12 @@
 // Unit tests for the set-associative cache model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "cache_reference.hpp"
 #include "sim/cache.hpp"
+#include "util/rng.hpp"
 
 namespace coperf::sim {
 namespace {
@@ -133,16 +138,6 @@ TEST(Cache, OccupancyPerApp) {
   EXPECT_EQ(c.occupancy_of(1), 3u);
 }
 
-TEST(Cache, InvalidateAppDropsOnlyThatApp) {
-  Cache c{"t", small_cfg(64 * 1024, 16)};
-  const Addr app1 = app_base(1) >> kLineBytesLog2;
-  for (std::uint64_t i = 0; i < 5; ++i) c.fill(i, false, false);
-  for (std::uint64_t i = 0; i < 3; ++i) c.fill(app1 + i, false, false);
-  EXPECT_EQ(c.invalidate_app(1), 3u);
-  EXPECT_EQ(c.occupancy_of(1), 0u);
-  EXPECT_EQ(c.occupancy_of(0), 5u);
-}
-
 TEST(Cache, HashedIndexSpreadsAppSpaces) {
   // With hashed indexing, two app spaces whose low bits are identical
   // should not collide into the same sets systematically.
@@ -199,7 +194,109 @@ TEST_P(CacheAssocSweep, SetFillsToExactlyAssocWays) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheAssocSweep,
-                         ::testing::Values(1, 2, 4, 8, 16, 20));
+                         ::testing::Values(1, 2, 4, 8, 16, 20, 32));
+
+TEST(Cache, RejectsMoreThan32Ways) {
+  EXPECT_THROW((Cache{"wide", small_cfg(64 * 64, 64)}), std::invalid_argument);
+  EXPECT_NO_THROW((Cache{"max", small_cfg(32 * 64, 32)}));
+}
+
+/// Differential test against tests/cache_reference.hpp: a seeded random
+/// mix of access/probe/fill/mark_dirty/invalidate/note_private over a
+/// line pool a few times the cache's capacity. Half the operations
+/// reuse the previous line, so the access-miss -> fill and probe ->
+/// fill chains the hierarchy runs are common.
+struct DiffGeometry {
+  std::uint64_t size_bytes;
+  std::uint32_t assoc;
+  bool hashed;
+  bool track_private;
+};
+
+void expect_same_stats(const CacheStats& a, const CacheStats& b,
+                       std::size_t step) {
+  EXPECT_EQ(a.demand_hits, b.demand_hits) << "step " << step;
+  EXPECT_EQ(a.demand_misses, b.demand_misses) << "step " << step;
+  EXPECT_EQ(a.store_hits, b.store_hits) << "step " << step;
+  EXPECT_EQ(a.store_misses, b.store_misses) << "step " << step;
+  EXPECT_EQ(a.prefetch_fills, b.prefetch_fills) << "step " << step;
+  EXPECT_EQ(a.prefetch_useful, b.prefetch_useful) << "step " << step;
+  EXPECT_EQ(a.writebacks, b.writebacks) << "step " << step;
+  EXPECT_EQ(a.back_invalidations, b.back_invalidations) << "step " << step;
+}
+
+void expect_same_result(const CacheResult& a, const CacheResult& b,
+                        std::size_t step) {
+  EXPECT_EQ(a.hit, b.hit) << "step " << step;
+  EXPECT_EQ(a.was_prefetched, b.was_prefetched) << "step " << step;
+  EXPECT_EQ(a.evicted, b.evicted) << "step " << step;
+  EXPECT_EQ(a.evicted_dirty, b.evicted_dirty) << "step " << step;
+  EXPECT_EQ(a.evicted_line, b.evicted_line) << "step " << step;
+  EXPECT_EQ(a.evicted_private_mask, b.evicted_private_mask) << "step " << step;
+}
+
+void run_differential(const DiffGeometry& g, std::uint64_t seed,
+                      std::size_t steps) {
+  const CacheConfig cfg = small_cfg(g.size_bytes, g.assoc);
+  Cache fast{"fast", cfg, g.hashed, g.track_private};
+  ReferenceCache ref{cfg, g.hashed, g.track_private};
+  util::SplitMix64 rng{seed};
+  // Three application spaces, ~3x the capacity in distinct lines.
+  const std::uint64_t per_app = cfg.size_bytes / kLineBytes;
+  auto random_line = [&] {
+    const auto app = static_cast<AppId>(rng.next() % 3);
+    return (app_base(app) >> kLineBytesLog2) + rng.next() % per_app;
+  };
+  Addr line = random_line();
+  for (std::size_t step = 0; step < steps; ++step) {
+    if (rng.next() % 2 == 0) line = random_line();
+    const std::uint32_t epoch_before = fast.set_epoch_of(line);
+    const std::uint64_t departures_before = ref.departures(line);
+    const std::uint64_t op = rng.next() % 100;
+    if (op < 30) {
+      const bool write = rng.next() % 4 == 0;
+      expect_same_result(fast.access(line, write), ref.access(line, write),
+                         step);
+    } else if (op < 45) {
+      EXPECT_EQ(fast.probe(line), ref.probe(line)) << "step " << step;
+    } else if (op < 75) {
+      const bool dirty = rng.next() % 3 == 0;
+      const bool prefetch = rng.next() % 3 == 0;
+      expect_same_result(fast.fill(line, dirty, prefetch),
+                         ref.fill(line, dirty, prefetch), step);
+    } else if (op < 83) {
+      EXPECT_EQ(fast.mark_dirty(line), ref.mark_dirty(line)) << "step " << step;
+    } else if (op < 93) {
+      const Cache::InvalidateResult a = fast.invalidate(line);
+      const Cache::InvalidateResult b = ref.invalidate(line);
+      EXPECT_EQ(a.present, b.present) << "step " << step;
+      EXPECT_EQ(a.dirty, b.dirty) << "step " << step;
+    } else {
+      const auto core = static_cast<unsigned>(rng.next() % 8);
+      fast.note_private(core);
+      ref.note_private(core);
+    }
+    EXPECT_EQ(fast.set_epoch_of(line) != epoch_before,
+              ref.departures(line) != departures_before)
+        << "step " << step;
+    expect_same_stats(fast.stats(), ref.stats(), step);
+    EXPECT_EQ(fast.occupancy(), ref.occupancy()) << "step " << step;
+    for (AppId app = 0; app < 3; ++app)
+      EXPECT_EQ(fast.occupancy_of(app), ref.occupancy_of(app))
+          << "step " << step << " app " << int{app};
+    if (::testing::Test::HasFailure()) return;  // first divergence only
+  }
+}
+
+TEST(CacheDifferential, PlainEightWayMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    run_differential({8 * 64 * 16, 8, false, false}, seed, 20000);
+}
+
+TEST(CacheDifferential, HashedTwentyWayWithPrivateCopiesMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    run_differential({20 * 64 * 32, 20, true, true}, seed, 20000);
+}
 
 }  // namespace
 }  // namespace coperf::sim

@@ -468,8 +468,8 @@ TEST(ParallelPool, ThrowMidPlanPropagatesFirstErrorAndPoolSurvives) {
       if (i == 137) throw std::runtime_error{"trial 137 went sideways"};
       // Slow the healthy trials slightly so the failure flag is
       // guaranteed to land before the sweep could drain on its own.
-      for (volatile int spin = 0; spin < 64; ++spin) {
-      }
+      volatile int spin = 0;
+      while (spin < 64) spin = spin + 1;
     });
     FAIL() << "the worker's exception must reach the caller";
   } catch (const std::runtime_error& e) {

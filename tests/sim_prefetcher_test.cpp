@@ -175,6 +175,34 @@ TEST(Prefetcher, ResetClearsState) {
   for (const auto& r : out) EXPECT_EQ(r.line, 13u ^ 1u);
 }
 
+TEST(Prefetcher, StreamTableEvictsLeastRecentlyUsedPage) {
+  PrefetchMask m = PrefetchMask::all_off();
+  m.l2_stream = true;
+  auto bank = make_bank(m);
+  std::vector<PrefetchRequest> out;
+  constexpr Addr kLinesPerPage = 64;
+  auto page_line = [](Addr page, Addr i) { return page * kLinesPerPage + i; };
+  // Sixteen pages fill the table; a second miss on every page but 5
+  // leaves page 5 least recently used.
+  for (Addr p = 0; p < 16; ++p) bank.on_l2_miss(page_line(p, 0), out);
+  for (Addr p = 0; p < 16; ++p)
+    if (p != 5) bank.on_l2_miss(page_line(p, 1), out);
+  EXPECT_TRUE(out.empty()) << "no page has trained yet";
+  // A seventeenth page must take page 5's slot and no other.
+  bank.on_l2_miss(page_line(16, 0), out);
+  EXPECT_TRUE(out.empty());
+  for (const Addr p : {Addr{0}, Addr{4}, Addr{6}, Addr{15}}) {
+    out.clear();
+    bank.on_l2_miss(page_line(p, 2), out);
+    EXPECT_TRUE(contains_line(out, page_line(p, 4)))
+        << "page " << p << " must still be tracked";
+  }
+  out.clear();
+  bank.on_l2_miss(page_line(5, 1), out);
+  bank.on_l2_miss(page_line(5, 2), out);
+  EXPECT_TRUE(out.empty()) << "page 5 was evicted and restarts training";
+}
+
 TEST(Prefetcher, MaskToggleTakesEffect) {
   auto bank = make_bank(PrefetchMask::all_on());
   std::vector<PrefetchRequest> out;
