@@ -365,24 +365,24 @@ class EngineView final : public ClusterView {
     return v;
   }
 
-  /// The scan's pick, pricing each class of the candidate index
-  /// instead of every open machine. Machines of one single-resident
-  /// class differ only in the resident's remaining work `rem`, and
-  /// their delta is a + c * rem with c = est(type, job) - 1, monotone
-  /// in rem -- hence in the cached ETA, since all of them progress at
-  /// the same solo rate. Every candidate is priced by placement_delta
-  /// itself, so the minimum (delta, id) is bit-identical to the scan.
-  PricedMachine cheapest_open(const harness::CorunMatrix& est,
-                              std::size_t job_type,
-                              double job_work) const override {
+  /// The scan's pick; an affine pricer prices each class of the
+  /// candidate index, not every open machine. Machines of one
+  /// single-resident class differ only in the resident's remaining
+  /// work `rem`, and their delta is a + c * rem, monotone in rem --
+  /// hence in the cached ETA, as all progress at the same solo rate.
+  /// Every candidate is priced by the pricer, so the minimum
+  /// (price, id) is bit-identical to the scan.
+  PricedMachine cheapest_open(const JobSpec& job,
+                              const Pricer& pricer) const override {
+    if (!pricer.affine) return ClusterView::cheapest_open(job, pricer);
     const std::size_t n = fleet_.size();
-    PricedMachine best{n, kInf};
+    PricedMachine best{n, {kInf, kInf}};
     const auto price = [&](std::size_t m) {
-      const double d = placement_delta(est, job_type, job_work, view(m));
-      if (d < best.delta ||
-          (d == best.delta && best.machine < n && m < best.machine))
-        best = {m, d};
-      return d;
+      const Price p = pricer.price(job, view(m));
+      if (p < best.price ||
+          (p == best.price && best.machine < n && m < best.machine))
+        best = {m, p};
+      return p;
     };
     // Walks one class in the order its delta rises, and stops past a
     // machine priced strictly above the best once the next ETA is
@@ -390,10 +390,10 @@ class EngineView final : public ClusterView {
     const auto walk = [&](auto it, const auto end, bool ascending) {
       while (it != end) {
         const double eta = it->first;
-        const double d = price(it->second);
+        const Price p = price(it->second);
         if (++it == end) return;
         const double gap = kEtaGuard * std::abs(eta);
-        if (d > best.delta &&
+        if (best.price < p &&
             (ascending ? it->first > eta + gap : it->first < eta - gap))
           return;
       }
@@ -401,10 +401,13 @@ class EngineView final : public ClusterView {
     // Empty machines, and members of a class whose coefficient is
     // exactly 0, all price the same: the lowest id stands for them.
     if (const std::size_t m = idx_.empty().next(0); m < n) price(m);
+    JobSpec idle = job;
+    idle.work = 0.0;
     for (std::size_t type = 0; type < idx_.types(); ++type) {
       const CandidateIndex::EtaOrder& order = idx_.by_eta(type);
       if (order.empty()) continue;
-      const double c = est.at(type, job_type) - 1.0;
+      lone_.residents[0].type = type;
+      const double c = pricer.price(idle, lone_).delta;
       if (c == 0.0)
         price(idx_.single(type).next(0));
       else if (c > 0.0)
@@ -424,6 +427,7 @@ class EngineView final : public ClusterView {
   const std::uint64_t& stamp_;
   mutable std::vector<MachineView> views_;
   mutable std::vector<std::uint64_t> view_stamp_;
+  mutable MachineView lone_{0, {{0, 1.0, 0.0}}};  ///< slope probe, 1 unit left
   mutable std::uint64_t scan_stamp_ = 0;
   mutable std::size_t last_k_ = 0;
   mutable std::size_t last_m_ = 0;
@@ -559,6 +563,8 @@ ClusterResult simulate(const ClusterConfig& cfg,
   CompletionHeap heap(cfg.machines);
   std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeue;
   EngineView cview{fleet, index, t, stamp};
+  const Pricer delta_pricer = truth_pricer(truth);
+  const Pricer lc_pricer = slo_pricer(truth);
 
   // Observability: a simulated-time timeline (own trace process per
   // run, so back-to-back policy sweeps do not overwrite each other's
@@ -708,6 +714,13 @@ ClusterResult simulate(const ClusterConfig& cfg,
     requeue.push({t + delay, jid});
   };
 
+  // The highest class with a waiting job; call with waiting_count > 0.
+  const auto top_class = [&] {
+    std::size_t c = waiting.size() - 1;
+    while (waiting[c].empty()) --c;
+    return c;
+  };
+
   const auto drain_waiting = [&] {
     while (waiting_count > 0) {
       if (index.open().size() == 0) {
@@ -720,13 +733,7 @@ ClusterResult simulate(const ClusterConfig& cfg,
         // is guaranteed: every eviction is followed by a strictly
         // higher-priority placement.
         if (!cfg.migration.preempt) break;
-        std::size_t top = 0;
-        for (std::size_t c = waiting.size(); c-- > 0;) {
-          if (!waiting[c].empty()) {
-            top = c;
-            break;
-          }
-        }
+        const std::size_t top = top_class();
         std::size_t vm = cfg.machines;
         unsigned vprio = 0;
         for (; vprio < top; ++vprio)
@@ -763,15 +770,10 @@ ClusterResult simulate(const ClusterConfig& cfg,
         enqueue(vjid);
         continue;
       }
-      std::size_t jid = 0;
-      for (std::size_t c = waiting.size(); c-- > 0;) {
-        if (!waiting[c].empty()) {
-          jid = waiting[c].front();
-          waiting[c].pop_front();
-          --waiting_count;
-          break;
-        }
-      }
+      std::deque<std::size_t>& lane = waiting[top_class()];
+      const std::size_t jid = lane.front();
+      lane.pop_front();
+      --waiting_count;
       const JobSpec& job = trace[jid];
       const std::size_t m = policy.place(job, cview);
       if (m >= cfg.machines || !index.open().contains(m))
@@ -781,35 +783,37 @@ ClusterResult simulate(const ClusterConfig& cfg,
       const bool billed =
           cfg.regret_sample != 0 && decisions % cfg.regret_sample == 0;
       ++decisions;
-      double chosen = 0.0, best = kInf;
-      double lc_chosen = 0.0, lc_best = kInf;
+      // The chosen machine's price, then the lowest open price. The
+      // chosen price is served again at the chosen view (EngineView
+      // hands out one view object per machine), so no machine is
+      // priced twice: pairwise_fallbacks counts what a scan counts.
+      const auto bill = [&](const Pricer& pricer) {
+        // One capture, so std::function stores the lambda inline.
+        const struct { const MachineView& at; Price own; const Pricer& p; } c{
+            cview.view(m), pricer.price(job, cview.view(m)), pricer};
+        const Pricer once{[&c](const JobSpec& j, const MachineView& v) {
+                            return &v == &c.at ? c.own : c.p.price(j, v);
+                          },
+                          pricer.affine};
+        return std::pair{c.own, cview.cheapest_open(job, once).price};
+      };
+      std::pair<Price, Price> delta, lc;  // (chosen, lowest)
       if (billed) {
-        const detail::MachineSet& open = index.open();
-        for (std::size_t v = open.next(0); v < cfg.machines;
-             v = open.next(v + 1)) {
-          const double d =
-              placement_delta(truth, job.type, job.work, cview.view(v));
-          if (v == m) chosen = d;
-          best = std::min(best, d);
-          // LC tail billing rides the same candidate scan: every billed
-          // decision on an SLO-carrying trace pays for the true tail
-          // violation it inflicts (a best-effort aggressor placed next
-          // to a running LC job blows that job's p99, and this is the
-          // decision that did it).
-          if (any_lc) {
-            const double lv = slo_violation(truth, job, cview.view(v));
-            if (v == m) lc_chosen = lv;
-            lc_best = std::min(lc_best, lv);
-          }
-        }
-        res.mean_decision_regret += chosen - best;
+        delta = bill(delta_pricer);
+        const double regret = delta.first.delta - delta.second.delta;
+        res.mean_decision_regret += regret;
         ++res.billed_decisions;
-        class_regret[job.priority] += chosen - best;
+        class_regret[job.priority] += regret;
         ++class_billed[job.priority];
+        // LC tail billing: every billed decision on an SLO-carrying
+        // trace pays for the true tail violation it inflicts (a
+        // best-effort aggressor placed next to a running LC job blows
+        // that job's p99, and this is the decision that did it).
         if (any_lc) {
-          res.mean_lc_tail_regret += lc_chosen - lc_best;
+          lc = bill(lc_pricer);
+          res.mean_lc_tail_regret += lc.first.violation - lc.second.violation;
           ++res.lc_billed_decisions;
-          if (lc_chosen > 0.0) ++res.slo_violation_decisions;
+          if (lc.first.violation > 0.0) ++res.slo_violation_decisions;
         }
       }
       placements_ctr.add();
@@ -818,9 +822,11 @@ ClusterResult simulate(const ClusterConfig& cfg,
         args.set("job", job.id)
             .set("policy", policy.name())
             .set("predicted_cost", policy.last_cost_delta());
-        if (billed) args.set("true_cost", chosen).set("regret", chosen - best);
+        if (billed)
+          args.set("true_cost", delta.first.delta)
+              .set("regret", delta.first.delta - delta.second.delta);
         if (billed && any_lc)
-          args.set("lc_regret", lc_chosen - lc_best);
+          args.set("lc_regret", lc.first.violation - lc.second.violation);
         args.set("queued_for", t - job.arrival);
         tr.instant_at(trace_pid, static_cast<int>(m),
                       "place " + type_label(job.type), t * kTraceUsPerUnit,

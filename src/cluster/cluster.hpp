@@ -26,8 +26,8 @@
 // rescan, and a candidate index over open machines (alive, not full)
 // feeds the policies' ClusterView. The index files machines by
 // resident multiset and orders single-resident classes by the
-// resident's cached ETA, so a cost-model decision prices O(distinct
-// machine states), not every open machine: one representative per
+// resident's cached ETA, so an affine pricer costs O(distinct machine
+// states) per decision, not every open machine: one representative per
 // empty or zero-coefficient class, a short monotone walk per other
 // single-resident class, and machines with 2+ residents one by one.
 // Completion arithmetic is drift-free: each resident's remaining work
@@ -97,10 +97,12 @@ struct ClusterConfig {
   std::vector<std::string> type_names;
   /// Bill ground-truth decision regret on every Nth placement (1 =
   /// every placement, the exact legacy accounting; 0 = never).
-  /// Billing prices every open machine at ground truth, so sampling
-  /// keeps fleet-scale runs affordable; mean_decision_regret averages
-  /// over the billed decisions only, and skipped decisions issue no
-  /// truth queries (so pairwise_fallbacks shrinks accordingly).
+  /// A billed decision costs one ClusterView::cheapest_open at ground
+  /// truth, plus a scan for SLO violation on an LC-carrying trace;
+  /// mean_decision_regret averages over the billed decisions only.
+  /// Billing counts the pairwise fallbacks a scan of every open
+  /// machine would: only machines with 2+ residents count one, and
+  /// billing prices all of them.
   std::size_t regret_sample = 1;
   /// Machine failure/recovery schedule (fault_schedule(), or
   /// hand-built: sorted by time, alternating Down/Up per machine).
@@ -196,7 +198,7 @@ struct ClusterResult {
   std::size_t lc_jobs = 0;
   /// Mean LC tail regret over billed decisions: true SLO violation
   /// cost of the chosen machine minus the best open machine's (see
-  /// slo_violation). Billed at EVERY billed decision, not only LC
+  /// slo_pricer). Billed at EVERY billed decision, not only LC
   /// arrivals -- a best-effort aggressor placed next to a running LC
   /// job is what blows its p99, and that decision must pay for it.
   double mean_lc_tail_regret = 0.0;
@@ -225,11 +227,9 @@ class MachineSet {
     return (words_[i >> 6] >> (i & 63)) & 1;
   }
   std::size_t size() const { return count_; }
-  /// Id space: members are < capacity().
-  std::size_t capacity() const { return n_; }
-  /// Smallest member >= from; capacity() if none.
+  /// Smallest member >= from; n if none (ids are < n).
   std::size_t next(std::size_t from) const;
-  /// The k-th smallest member (0-based); capacity() if k >= size().
+  /// The k-th smallest member (0-based); n if k >= size().
   std::size_t select(std::size_t k) const;
 
  private:

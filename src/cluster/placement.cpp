@@ -10,15 +10,15 @@
 
 namespace coperf::cluster {
 
-PricedMachine ClusterView::cheapest_open(const harness::CorunMatrix& est,
-                                         std::size_t job_type,
-                                         double job_work) const {
-  PricedMachine best{machines(), std::numeric_limits<double>::infinity()};
+PricedMachine ClusterView::cheapest_open(const JobSpec& job,
+                                         const Pricer& pricer) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  PricedMachine best{machines(), {kInf, kInf}};
   const std::size_t open = open_count();
   for (std::size_t k = 0; k < open; ++k) {
     const std::size_t m = kth_open(k);
-    const double delta = placement_delta(est, job_type, job_work, view(m));
-    if (delta < best.delta) best = {m, delta};
+    const Price p = pricer.price(job, view(m));
+    if (p < best.price) best = {m, p};
   }
   return best;
 }
@@ -52,50 +52,59 @@ double placement_delta(const harness::CorunMatrix& est, std::size_t job_type,
   return delta;
 }
 
-double placement_delta(harness::InterferenceTruth& truth, std::size_t job_type,
-                       double job_work, const MachineView& machine) {
-  // Reused scratch: admission_delta takes vectors, and this is priced
-  // once per candidate machine per decision -- at fleet scale that is
-  // the regret-billing hot path.
-  static thread_local std::vector<std::size_t> types;
-  static thread_local std::vector<double> remaining;
-  types.clear();
-  remaining.clear();
-  for (const ResidentView& r : machine.residents) {
-    types.push_back(r.type);
-    remaining.push_back(std::max(0.0, r.remaining));
-  }
-  return truth.admission_delta(job_type, job_work, types, remaining);
-}
+namespace {
 
-double slo_violation(harness::InterferenceTruth& truth, const JobSpec& job,
-                     const MachineView& machine) {
-  // Skip entirely when nothing latency-critical is involved: no tail
-  // queries, so best-effort billing is byte-identical to before.
-  bool any_lc = job.latency_critical();
-  for (const ResidentView& r : machine.residents)
-    any_lc = any_lc || r.slo_target > 0.0;
-  if (!any_lc) return 0.0;
-  static thread_local std::vector<std::size_t> others;
+/// slo_pricer's formula over any tail: tail(fg, skip, with_job) is
+/// fg's tail slowdown against the residents but residents[skip], plus
+/// the job if with_job.
+template <class Tail>
+double violation(const JobSpec& job, const MachineView& machine, Tail tail) {
   double viol = 0.0;
-  if (job.latency_critical()) {
-    others.clear();
-    for (const ResidentView& r : machine.residents) others.push_back(r.type);
-    const double tail = truth.tail_slowdown(job.type, others);
-    viol += std::max(0.0, tail - job.slo_p99) * job.work;
-  }
+  if (job.latency_critical())
+    viol += std::max(0.0, tail(job.type, machine.residents.size(), false) -
+                              job.slo_p99) *
+            job.work;
   for (std::size_t i = 0; i < machine.residents.size(); ++i) {
-    const ResidentView& victim = machine.residents[i];
-    if (victim.slo_target <= 0.0) continue;
-    others.clear();
-    others.push_back(job.type);
-    for (std::size_t j = 0; j < machine.residents.size(); ++j)
-      if (j != i) others.push_back(machine.residents[j].type);
-    const double tail = truth.tail_slowdown(victim.type, others);
-    viol += std::max(0.0, tail - victim.slo_target) *
-            std::max(0.0, victim.remaining);
+    const ResidentView& r = machine.residents[i];
+    if (r.slo_target > 0.0)
+      viol += std::max(0.0, tail(r.type, i, true) - r.slo_target) *
+              std::max(0.0, r.remaining);
   }
   return viol;
+}
+
+}  // namespace
+
+Pricer truth_pricer(harness::InterferenceTruth& truth) {
+  return {[&truth](const JobSpec& job, const MachineView& machine) {
+            // Reused scratch: admission_delta takes vectors, and this
+            // is priced per candidate machine per billed decision.
+            static thread_local std::vector<std::size_t> types;
+            static thread_local std::vector<double> remaining;
+            types.clear();
+            remaining.clear();
+            for (const ResidentView& r : machine.residents) {
+              types.push_back(r.type);
+              remaining.push_back(std::max(0.0, r.remaining));
+            }
+            return Price{0.0, truth.admission_delta(job.type, job.work, types,
+                                                    remaining)};
+          },
+          /*affine=*/true};
+}
+
+Pricer slo_pricer(harness::InterferenceTruth& truth) {
+  return {[&truth](const JobSpec& job, const MachineView& machine) {
+    static thread_local std::vector<std::size_t> others;
+    const auto tail = [&](std::size_t fg, std::size_t skip, bool with_job) {
+      others.clear();
+      if (with_job) others.push_back(job.type);
+      for (std::size_t j = 0; j < machine.residents.size(); ++j)
+        if (j != skip) others.push_back(machine.residents[j].type);
+      return truth.tail_slowdown(fg, others);
+    };
+    return Price{violation(job, machine, tail), 0.0};
+  }};
 }
 
 GroupTruthPolicy::GroupTruthPolicy(std::string name,
@@ -109,52 +118,27 @@ std::size_t GroupTruthPolicy::place(const JobSpec& job,
                                     const ClusterView& cluster) {
   if (job.type >= truth_.size())
     throw std::out_of_range{"GroupTruthPolicy::place: job type outside truth"};
-  std::size_t best = cluster.machines();
-  double best_delta = std::numeric_limits<double>::infinity();
-  const std::size_t open = cluster.open_count();
-  for (std::size_t k = 0; k < open; ++k) {
-    const std::size_t m = cluster.kth_open(k);
-    const double delta =
-        placement_delta(truth_, job.type, job.work, cluster.view(m));
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = m;
-    }
-  }
-  if (best == cluster.machines())
+  const PricedMachine best = cluster.cheapest_open(job, truth_pricer(truth_));
+  if (best.machine == cluster.machines())
     throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best_delta;
-  return best;
+  last_delta_ = best.price.delta;
+  return best.machine;
 }
 
 std::size_t CostModelPolicy::place(const JobSpec& job,
                                    const ClusterView& cluster) {
   if (job.type >= estimate_.size())
     throw std::out_of_range{"CostModelPolicy::place: job type outside matrix"};
-  const PricedMachine best =
-      cluster.cheapest_open(estimate_, job.type, job.work);
+  const PricedMachine best = cluster.cheapest_open(
+      job, {[this](const JobSpec& j, const MachineView& v) {
+              return Price{0.0, placement_delta(estimate_, j.type, j.work, v)};
+            },
+            /*affine=*/true});
   if (best.machine == cluster.machines())
     throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best.delta;
+  last_delta_ = best.price.delta;
   return best.machine;
 }
-
-namespace {
-
-/// Additively composed tail slowdown of `fg` against the `others` it
-/// would share a machine with -- the tail matrix's analog of
-/// harness::corun_slowdown, inlined allocation-free.
-double composed_tail(const harness::CorunMatrix& tail, std::size_t fg,
-                     const MachineView& machine, std::size_t skip,
-                     std::size_t extra_type, bool has_extra) {
-  double excess = 0.0;
-  for (std::size_t j = 0; j < machine.residents.size(); ++j)
-    if (j != skip) excess += tail.at(fg, machine.residents[j].type) - 1.0;
-  if (has_extra) excess += tail.at(fg, extra_type) - 1.0;
-  return std::max(1.0, 1.0 + excess);
-}
-
-}  // namespace
 
 SloAwarePolicy::SloAwarePolicy(std::string name,
                                harness::CorunMatrix throughput,
@@ -173,41 +157,25 @@ std::size_t SloAwarePolicy::place(const JobSpec& job,
                                   const ClusterView& cluster) {
   if (job.type >= throughput_.size())
     throw std::out_of_range{"SloAwarePolicy::place: job type outside matrix"};
-  std::size_t best = cluster.machines();
-  double best_viol = std::numeric_limits<double>::infinity();
-  double best_delta = std::numeric_limits<double>::infinity();
-  const std::size_t open = cluster.open_count();
-  for (std::size_t k = 0; k < open; ++k) {
-    const std::size_t m = cluster.kth_open(k);
-    const MachineView& v = cluster.view(m);
-    // Predicted SLO violation: the arriving job's own composed tail
-    // against its budget, plus the tail the job pushes each
-    // latency-critical resident to against that resident's budget.
-    double viol = 0.0;
-    if (job.latency_critical()) {
-      const double own = composed_tail(tail_, job.type, v, v.residents.size(),
-                                       0, /*has_extra=*/false);
-      viol += std::max(0.0, own - job.slo_p99) * job.work;
-    }
-    for (std::size_t i = 0; i < v.residents.size(); ++i) {
-      const ResidentView& r = v.residents[i];
-      if (r.slo_target <= 0.0) continue;
-      const double rt =
-          composed_tail(tail_, r.type, v, i, job.type, /*has_extra=*/true);
-      viol += std::max(0.0, rt - r.slo_target) * std::max(0.0, r.remaining);
-    }
-    const double delta = placement_delta(throughput_, job.type, job.work, v);
-    if (viol < best_viol || (viol == best_viol && delta < best_delta)) {
-      best_viol = viol;
-      best_delta = delta;
-      best = m;
-    }
-  }
-  if (best == cluster.machines())
+  // Predicted SLO violation from the additively composed tail matrix,
+  // then the predicted throughput delta.
+  const PricedMachine best = cluster.cheapest_open(
+      job, {[this](const JobSpec& j, const MachineView& v) {
+        const auto tail = [&](std::size_t fg, std::size_t skip, bool with_job) {
+          double excess = 0.0;
+          for (std::size_t r = 0; r < v.residents.size(); ++r)
+            if (r != skip) excess += tail_.at(fg, v.residents[r].type) - 1.0;
+          if (with_job) excess += tail_.at(fg, j.type) - 1.0;
+          return std::max(1.0, 1.0 + excess);
+        };
+        return Price{violation(j, v, tail),
+                     placement_delta(throughput_, j.type, j.work, v)};
+      }});
+  if (best.machine == cluster.machines())
     throw std::logic_error{name_ + "::place: no machine has a free slot"};
-  last_delta_ = best_delta;
-  if (best_viol > 0.0) ++forced_;
-  return best;
+  last_delta_ = best.price.delta;
+  if (best.price.violation > 0.0) ++forced_;
+  return best.machine;
 }
 
 OnlineRefinedPolicy::OnlineRefinedPolicy(

@@ -14,12 +14,13 @@
 //
 // Policies see the cluster through ClusterView: a free-slot index
 // (open_count/kth_open, ascending machine order), lazily materialized
-// per-machine MachineViews, and cheapest_open -- the cost-model argmin
-// over open machines. The default cheapest_open scans every open
-// machine; the simulator's fleet-scale implementation overrides it to
-// price each distinct machine state once (machines with equal
-// resident multisets differ only in remaining work), with the same
-// pick and delta bit for bit.
+// per-machine MachineViews, and cheapest_open -- the one argmin over
+// open machines, which every pricing policy and the simulator's
+// regret billing call with a Pricer (matrix estimate, ground truth, or
+// SLO violation). The default scans every open machine; the
+// simulator's prices each distinct machine state once for an affine
+// pricer (machines with equal resident multisets differ only in
+// remaining work), with the same pick and price bit for bit.
 //
 // Fault tolerance is invisible here by design: a failed machine simply
 // leaves the open set (its slots are never offered), a recovered one
@@ -29,7 +30,9 @@
 // candidate sequence as the fault-blind engine.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,10 +61,31 @@ struct MachineView {
   std::vector<ResidentView> residents;
 };
 
-/// An open machine and the placement_delta it was priced at.
+/// A candidate machine's price. Candidates compare by violation, then
+/// delta, then lowest machine id.
+struct Price {
+  double violation = 0.0;  ///< SLO-violation cost; 0 for throughput pricers
+  double delta = 0.0;      ///< machine time the admission adds
+  auto operator<=>(const Price&) const = default;
+};
+
+/// An open machine and the price it was priced at.
 struct PricedMachine {
   std::size_t machine = 0;
-  double delta = 0.0;
+  Price price;
+};
+
+/// Prices admitting a job to a candidate machine: what
+/// ClusterView::cheapest_open minimizes.
+struct Pricer {
+  std::function<Price(const JobSpec& job, const MachineView& machine)> price;
+  /// Affine: violation stays 0, and on a machine with one resident the
+  /// delta is a + c * remaining, a set by the job and c by the two
+  /// types alone. c must be exactly the delta priced for a lone
+  /// resident with 1 unit left and the job with 0 work: an indexed
+  /// cheapest_open reads the slope so, and prices one machine per
+  /// class instead of all. Pricers of per-job budgets are not affine.
+  bool affine = false;
 };
 
 /// What a policy sees of the cluster at decision time. kth_open
@@ -86,51 +110,47 @@ class ClusterView {
   /// Machine m's residents and free slots, materialized on demand.
   virtual const MachineView& view(std::size_t m) const = 0;
 
-  /// The open machine minimizing placement_delta(est, job_type,
-  /// job_work, view(m)), lowest index on ties, with that delta;
-  /// {machines(), inf} when no open machine prices below infinity.
-  /// The default scans kth_open in ascending order and prices every
-  /// open machine. An override must return the identical machine and
-  /// delta, bit for bit -- the simulator's prices each distinct
-  /// machine state once instead.
-  virtual PricedMachine cheapest_open(const harness::CorunMatrix& est,
-                                      std::size_t job_type,
-                                      double job_work) const;
+  /// The open machine with the lowest pricer.price(job, view(m)),
+  /// lowest index on ties, with that price; {machines(), {inf, inf}}
+  /// when no open machine prices below {inf, inf}. The default scans
+  /// kth_open in ascending order and prices every open machine once.
+  /// An override must return the identical machine and price, bit for
+  /// bit, and price no machine twice -- the simulator's prices each
+  /// distinct machine state once for an affine pricer instead.
+  virtual PricedMachine cheapest_open(const JobSpec& job,
+                                      const Pricer& pricer) const;
 };
 
 /// Estimated machine time that admitting `job_type` with `job_work`
 /// units of work adds to `machine`, priced by the slowdown matrix
 /// `est`: the job's own excess slowdown persists for its whole work,
 /// and the excess it inflicts on each resident persists for that
-/// resident's remaining work. The shared cost primitive: the
-/// cost-model policies minimize it over machines, and the simulator
-/// re-prices every decision with it at ground truth to compute
-/// per-decision placement regret. Allocation-free.
+/// resident's remaining work. The cost-model policies minimize it
+/// over machines. Allocation-free.
 double placement_delta(const harness::CorunMatrix& est, std::size_t job_type,
                        double job_work, const MachineView& machine);
 
-/// The same delta priced by a ground-truth oracle instead of a matrix
-/// estimate: the job's true group slowdown for its own work plus the
-/// true slowdown delta it inflicts on each resident (measured group
-/// entries when the truth holds them, additive composition otherwise).
-/// The simulator bills every decision with this at ground truth;
-/// GroupTruthPolicy minimizes it directly.
-double placement_delta(harness::InterferenceTruth& truth, std::size_t job_type,
-                       double job_work, const MachineView& machine);
+/// Prices the same delta by a ground-truth oracle instead of a matrix
+/// estimate (InterferenceTruth::admission_delta): the job's true group
+/// slowdown for its own work plus the true slowdown delta it inflicts
+/// on each resident (measured group entries when the truth holds them,
+/// additive composition otherwise). GroupTruthPolicy minimizes it, and
+/// the simulator bills each decision's placement regret with it.
+/// Affine, because admission_delta is.
+Pricer truth_pricer(harness::InterferenceTruth& truth);
 
-/// SLO violation cost of admitting `job` to `machine`, priced by a
+/// Prices the SLO violation of admitting a job to a machine by a
 /// ground-truth oracle's tail_slowdown: for every latency-critical
 /// party in the would-be group (the arriving job if it carries a
 /// budget, plus each resident with slo_target > 0), the excess of its
 /// true p99 slowdown in the new group over its budget, weighted by the
-/// work that would run under that excess. Zero when nothing
-/// latency-critical is involved -- and the function issues no tail
-/// queries then, so batch-only billing stays byte-identical. This is
-/// the LC regret primitive: the simulator bills
-/// slo_violation(chosen) - min over open machines on every billed
-/// decision of an LC-carrying trace.
-double slo_violation(harness::InterferenceTruth& truth, const JobSpec& job,
-                     const MachineView& machine);
+/// work that would run under that excess. Zero, with no tail query,
+/// when nothing latency-critical is involved, so batch-only billing
+/// stays byte-identical. The LC regret primitive: the simulator bills
+/// the chosen machine's violation minus the lowest open one's on every
+/// billed decision of an LC-carrying trace. Not affine: budgets are
+/// per job.
+Pricer slo_pricer(harness::InterferenceTruth& truth);
 
 class PlacementPolicy {
  public:
@@ -185,12 +205,9 @@ class RandomPolicy final : public PlacementPolicy {
 /// the machine where admitting the job adds the least *machine time*
 /// -- each pairwise excess slowdown weighted by how long it will
 /// persist (the new job's work, resp. the victim resident's remaining
-/// work). Lowest index wins ties, for determinism. The argmin is
-/// ClusterView::cheapest_open, so the simulator's view prices each
-/// distinct machine state once while any other view scans every open
-/// machine; both pick the same machine. With the truth matrix as the
-/// estimate this is the oracle; with a predicted matrix it is the
-/// static-analytic scheduler.
+/// work). Lowest index wins ties, for determinism. With the truth
+/// matrix as the estimate this is the oracle; with a predicted matrix
+/// it is the static-analytic scheduler.
 class CostModelPolicy : public PlacementPolicy {
  public:
   CostModelPolicy(std::string name, harness::CorunMatrix estimate);

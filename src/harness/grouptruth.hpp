@@ -104,7 +104,10 @@ class InterferenceTruth {
   /// the excess it inflicts on each resident -- the *group* slowdown
   /// delta, not a pair entry -- persists for that resident's remaining
   /// work. This is the billing primitive the cluster simulator prices
-  /// every placement decision with.
+  /// every placement decision with. It must stay affine in each
+  /// resident's remaining work: the cluster's candidate index prices
+  /// one lone-resident machine per class and reads the slope from a
+  /// call with remaining work 1 and job work 0.
   virtual double admission_delta(std::size_t job_type, double job_work,
                                  const std::vector<std::size_t>& residents,
                                  const std::vector<double>& remaining);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -490,6 +491,58 @@ class ScanPolicy final : public PlacementPolicy {
   PlacementPolicy& inner_;
 };
 
+/// Runs the wrapped policy and re-bills each decision the simulator
+/// bills (every `sample`-th) by a scan of every open machine pricing
+/// the true delta and the true SLO violation, on a shadow copy of the
+/// truth. Its regret sums must match the simulator's bit for bit, and
+/// the shadow's fallbacks are what scan billing counts.
+class ScanBilling final : public PlacementPolicy {
+ public:
+  ScanBilling(PlacementPolicy& inner, const harness::CorunMatrix& truth,
+              std::size_t sample, bool any_lc)
+      : inner_(inner), shadow_(truth), sample_(sample), any_lc_(any_lc) {}
+  std::string name() const override { return inner_.name(); }
+  using PlacementPolicy::place;
+  std::size_t place(const JobSpec& job, const ClusterView& cluster) override {
+    const std::size_t m = inner_.place(job, cluster);
+    if (decisions_++ % sample_ != 0) return m;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double chosen = 0.0, best = kInf, lc_chosen = 0.0, lc_best = kInf;
+    for (std::size_t k = 0; k < cluster.open_count(); ++k) {
+      const std::size_t v = cluster.kth_open(k);
+      const double d = delta_.price(job, cluster.view(v)).delta;
+      if (v == m) chosen = d;
+      best = std::min(best, d);
+      if (any_lc_) {
+        const double lv = lc_.price(job, cluster.view(v)).violation;
+        if (v == m) lc_chosen = lv;
+        lc_best = std::min(lc_best, lv);
+      }
+    }
+    regret += chosen - best;
+    if (any_lc_) lc_regret += lc_chosen - lc_best;
+    ++billed;
+    return m;
+  }
+  void observe_group(const std::vector<std::size_t>& types,
+                     const std::vector<double>& slowdowns) override {
+    inner_.observe_group(types, slowdowns);
+  }
+  double last_cost_delta() const override { return inner_.last_cost_delta(); }
+  std::uint64_t fallbacks() const { return shadow_.fallbacks(); }
+
+  double regret = 0.0, lc_regret = 0.0;
+  std::size_t billed = 0;
+
+ private:
+  PlacementPolicy& inner_;
+  harness::MatrixTruth shadow_;
+  Pricer delta_ = truth_pricer(shadow_), lc_ = slo_pricer(shadow_);
+  std::size_t sample_;
+  bool any_lc_;
+  std::size_t decisions_ = 0;
+};
+
 harness::CorunMatrix matrix_of(
     const std::vector<std::vector<double>>& normalized) {
   harness::CorunMatrix m;
@@ -589,10 +642,15 @@ void expect_same_result(const ClusterResult& a, const ClusterResult& b,
 }
 
 // The indexed cheapest_open must pick what the default scan picks, bit
-// for bit: same audit log and same ClusterResult for the cost-model
-// and online-refined policies, across fleet sizes, slot counts, the
-// three pricing regimes, and every fault/migration/admission mix. Each
-// cell draws its own trace and fault seed.
+// for bit: same audit log and same ClusterResult for the cost-model,
+// online-refined, group-truth and SLO-aware policies, across fleet
+// sizes, slot counts, the three pricing regimes, and every
+// fault/migration/admission mix. Every other cell's trace carries SLO
+// budgets. The simulator's billing is checked against a scan of every
+// open machine: the same regret sums bit for bit, and the same
+// pairwise fallbacks (lone-resident machines never count one, and
+// every multi-resident machine is still priced). Each cell draws its
+// own trace and fault seed.
 TEST(CandidateIndex, IndexedPricingMatchesTheDefaultScan) {
   const auto matrices = exactness_matrices();
   const auto sigs = exactness_sigs(8);
@@ -611,7 +669,7 @@ TEST(CandidateIndex, IndexedPricingMatchesTheDefaultScan) {
         for (unsigned mix = 0; mix < 8; ++mix) {
           const bool faults = mix & 1, migration = mix & 2,
                      admission = mix & 4;
-          ++seed;
+          const bool lc = ++seed % 2;
           FleetTraceOptions topt;
           topt.jobs = jobs;
           topt.seed = seed;
@@ -620,7 +678,10 @@ TEST(CandidateIndex, IndexedPricingMatchesTheDefaultScan) {
           topt.class_shares = {0.7, 0.3};
           topt.mean_interarrival =
               topt.mean_work / (1.1 * static_cast<double>(machines * slots));
-          const auto trace = fleet_trace(truth.size(), topt);
+          auto trace = fleet_trace(truth.size(), topt);
+          if (lc)
+            for (JobSpec& j : trace)
+              if (j.type < 3) j.slo_p99 = 1.1 + 0.1 * static_cast<double>(j.type);
           ClusterConfig cfg;
           cfg.machines = machines;
           cfg.slots = slots;
@@ -640,10 +701,32 @@ TEST(CandidateIndex, IndexedPricingMatchesTheDefaultScan) {
               " matrix " + std::to_string(mi) + " mix " + std::to_string(mix);
           {
             CostModelPolicy indexed{"oracle", truth}, scanned{"oracle", truth};
+            ScanBilling billing{indexed, truth, cfg.regret_sample, lc};
             ScanPolicy scan{scanned};
-            expect_same_result(simulate(cfg, truth, trace, indexed),
-                               simulate(cfg, truth, trace, scan),
+            const ClusterResult res = simulate(cfg, truth, trace, billing);
+            expect_same_result(res, simulate(cfg, truth, trace, scan),
                                truth.workloads, where + " cost-model");
+            ASSERT_EQ(billing.billed, res.billed_decisions) << where;
+            EXPECT_EQ(billing.regret / static_cast<double>(billing.billed),
+                      res.mean_decision_regret)
+                << where;
+            if (lc)
+              EXPECT_EQ(billing.lc_regret / static_cast<double>(billing.billed),
+                        res.mean_lc_tail_regret)
+                  << where;
+            // The run billing nothing differs only by the billing's
+            // truth queries: exactly the fallbacks a scan counts. Only
+            // machines with 2+ residents count one, hence slots >= 3.
+            if (slots >= 3) {
+              ClusterConfig unbilled = cfg;
+              unbilled.regret_sample = 0;
+              CostModelPolicy quiet{"oracle", truth};
+              EXPECT_EQ(res.pairwise_fallbacks -
+                            simulate(unbilled, truth, trace, quiet)
+                                .pairwise_fallbacks,
+                        billing.fallbacks())
+                  << where;
+            }
           }
           {
             OnlineRefinedPolicy indexed{"online", model(mi), sigs};
@@ -653,9 +736,86 @@ TEST(CandidateIndex, IndexedPricingMatchesTheDefaultScan) {
                                simulate(cfg, truth, trace, scan),
                                truth.workloads, where + " online-refined");
           }
+          // A truth-priced scan costs a virtual admission_delta per
+          // open machine, so two mixes (none, all) below 1000 machines
+          // cover the truth pricer, lc and not.
+          if (machines < 1000 && (mix == 0 || mix == 7)) {
+            // The policy prices on the simulator's own truth, so its
+            // queries count into pairwise_fallbacks too.
+            harness::MatrixTruth ti{truth}, ts{truth};
+            GroupTruthPolicy indexed{"group", ti}, scanned{"group", ts};
+            ScanPolicy scan{scanned};
+            expect_same_result(simulate(cfg, ti, trace, indexed),
+                               simulate(cfg, ts, trace, scan),
+                               truth.workloads, where + " group-truth");
+          }
+          // The SLO-aware pricer is not affine, so both sides scan; the
+          // 1000-machine rung would only repeat the smaller ones.
+          if (lc && machines < 1000) {
+            SloAwarePolicy indexed{"slo", truth, truth};
+            SloAwarePolicy scanned{"slo", truth, truth};
+            ScanPolicy scan{scanned};
+            const ClusterResult a = simulate(cfg, truth, trace, indexed);
+            const ClusterResult b = simulate(cfg, truth, trace, scan);
+            expect_same_result(a, b, truth.workloads, where + " slo-aware");
+            EXPECT_EQ(a.mean_lc_tail_regret, b.mean_lc_tail_regret) << where;
+            EXPECT_EQ(indexed.forced_violations(), scanned.forced_violations())
+                << where;
+          }
         }
       }
     }
+  }
+}
+
+/// Forwards only InterferenceTruth's pure virtuals plus admission_delta,
+/// the way a timing decorator wraps a truth: pair_entry and
+/// tail_slowdown fall back to the defaults over slowdown().
+class ForwardingTruth final : public harness::InterferenceTruth {
+ public:
+  explicit ForwardingTruth(harness::InterferenceTruth& inner) : inner_(inner) {}
+  std::size_t size() const override { return inner_.size(); }
+  double slowdown(std::size_t type,
+                  const std::vector<std::size_t>& others) override {
+    return inner_.slowdown(type, others);
+  }
+  const harness::CorunMatrix& pairwise() override { return inner_.pairwise(); }
+  double admission_delta(std::size_t job_type, double job_work,
+                         const std::vector<std::size_t>& residents,
+                         const std::vector<double>& remaining) override {
+    return inner_.admission_delta(job_type, job_work, residents, remaining);
+  }
+
+ private:
+  harness::InterferenceTruth& inner_;
+};
+
+// The index reads a truth's slope through admission_delta, the one
+// pricing call a decorator forwards. A slope read from slowdown() would
+// be clamped at 0 on the sub-1 matrix's entries, walk those classes the
+// wrong way, and pick and bill differently from the undecorated scan.
+TEST(CandidateIndex, DecoratedTruthPricesLikeTheUndecoratedScan) {
+  const harness::CorunMatrix sub1 = exactness_matrices()[1];
+  for (const std::size_t slots : {2u, 3u}) {
+    FleetTraceOptions topt;
+    topt.jobs = 1500;
+    topt.seed = 77 + slots;
+    topt.work = WorkModel::Pareto;
+    topt.mean_interarrival = topt.mean_work / (1.1 * 64.0 * slots);
+    const auto trace = fleet_trace(sub1.size(), topt);
+    ClusterConfig cfg;
+    cfg.machines = 64;
+    cfg.slots = slots;
+    harness::MatrixTruth inner{sub1}, plain{sub1};
+    ForwardingTruth decorated{inner};
+    GroupTruthPolicy on_decorated{"group", decorated}, on_plain{"group", plain};
+    ScanPolicy scan{on_plain};
+    const ClusterResult a = simulate(cfg, decorated, trace, on_decorated);
+    const ClusterResult b = simulate(cfg, plain, trace, scan);
+    const std::string where = "slots " + std::to_string(slots);
+    EXPECT_EQ(a.log.str(sub1.workloads), b.log.str(sub1.workloads)) << where;
+    EXPECT_EQ(a.mean_decision_regret, b.mean_decision_regret) << where;
+    EXPECT_EQ(inner.fallbacks(), b.pairwise_fallbacks) << where;
   }
 }
 

@@ -76,6 +76,7 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
         "schedule, migration, or admission control)"};
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::uint64_t fallbacks_before = truth.fallbacks();
+  const Pricer billing = truth_pricer(truth);
 
   struct Running {
     std::size_t job = 0;
@@ -121,7 +122,7 @@ inline ClusterResult simulate_reference(const ClusterConfig& cfg,
       double chosen = 0.0, best = kInf;
       for (std::size_t v = 0; v < views.size(); ++v) {
         if (views[v].free_slots == 0) continue;
-        const double d = placement_delta(truth, job.type, job.work, views[v]);
+        const double d = billing.price(job, views[v]).delta;
         if (v == m) chosen = d;
         best = std::min(best, d);
       }

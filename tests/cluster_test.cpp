@@ -278,10 +278,9 @@ TEST(GroupTruthCluster, GroupTruthOracleAvoidsTheRegimeChange) {
   // What the simulator bills each choice at measured group truth: the
   // additive oracle's pick is strictly worse, i.e. positive regret;
   // the group-truth oracle picked the argmin, i.e. zero regret.
-  const double hog_machine =
-      placement_delta(truth, victim.type, victim.work, views[0]);
-  const double medium_machine =
-      placement_delta(truth, victim.type, victim.work, views[1]);
+  const Pricer billing = truth_pricer(truth);
+  const double hog_machine = billing.price(victim, views[0]).delta;
+  const double medium_machine = billing.price(victim, views[1]).delta;
   EXPECT_GT(hog_machine, medium_machine);
   EXPECT_GT(hog_machine - medium_machine, 2.0)
       << "the regime change dominates the delta (3.0 work units of "
